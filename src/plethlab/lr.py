@@ -26,7 +26,15 @@ from functools import cache
 from itertools import permutations
 from typing import Iterable, Iterator, Sequence
 
-from .partitions import Partition, SkewShape, as_partition, as_skew, conjugate, contains
+from .partitions import (
+    ExactnessError,
+    Partition,
+    SkewShape,
+    as_partition,
+    as_skew,
+    conjugate,
+    contains,
+)
 
 __all__ = [
     "is_lattice_word",
@@ -174,8 +182,8 @@ def lr_fillings(s: SkewShape) -> tuple[LRFilling, ...]:
     out = []
     for word in _iter_words(s.outer, s.inner):
         filling = LRFilling(s, _word_to_rows(s.outer, s.inner, word))
-        assert is_lattice_word(filling.reading_word())
-        assert filling.weight.size == s.size
+        if not is_lattice_word(filling.reading_word()) or filling.weight.size != s.size:
+            raise ExactnessError(f"inadmissible filling {filling.rows} of {s}")
         out.append(filling)
     return tuple(out)
 
@@ -316,5 +324,6 @@ def dual_pieri_expansion(rho: Partition, theta: Partition) -> tuple[tuple[Partit
         for shape, c in level.items():
             acc[shape] += sign * c
     result = tuple((p, c) for p, c in sorted(acc.items()) if c)
-    assert all(c > 0 for _, c in result)
+    if any(c <= 0 for _, c in result):
+        raise ExactnessError(f"negative coefficient in the expansion of {rho}/{theta}")
     return result

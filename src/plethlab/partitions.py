@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, NamedTuple
 
 __all__ = [
+    "ExactnessError",
     "Partition",
     "SkewShape",
     "conjugate",
@@ -34,6 +35,14 @@ __all__ = [
     "format_partition",
     "format_skew",
 ]
+
+
+class ExactnessError(ArithmeticError):
+    """An exact computation produced a non-integral or inconsistent value.
+
+    This always signals an internal bug (or an input outside the documented
+    domain), never a rounding issue: there is no floating point anywhere.
+    """
 
 
 class Partition(tuple):

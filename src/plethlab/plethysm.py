@@ -30,6 +30,7 @@ from typing import Iterable, MutableMapping
 
 from .lr import dual_pieri_expansion
 from .partitions import (
+    ExactnessError,
     Partition,
     as_partition,
     as_skew,
@@ -56,14 +57,6 @@ __all__ = [
 # Degree up to which single coefficients are read off the cached full
 # expansion; above it the engine switches to targeted routes.
 _FULL_CUTOFF = 15
-
-
-class ExactnessError(ArithmeticError):
-    """An exact computation produced a non-integral or inconsistent value.
-
-    This always signals an internal bug (or an input outside the documented
-    domain), never a rounding issue: there is no floating point anywhere.
-    """
 
 
 # ---------------------------------------------------------------------------

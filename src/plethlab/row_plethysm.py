@@ -19,9 +19,14 @@ factor:
   one, both with multiplicity one;
 * for larger rows the one-piece compositions are tabulated by Newton's
   identities lifted through the composition, keeping full Schur expansions
-  pruned to an envelope of the target shapes. Pruning is sound because
-  multiplying by a power sum only adds boxes, so anything outside a
-  downward-closed envelope can never re-enter it.
+  pruned to an envelope of the target shapes (row bounds, the "cap").
+  Pruning is sound because multiplying by a power sum only adds boxes, so
+  anything outside a downward-closed envelope can never re-enter it. The
+  multiplication adds border strips on beta numbers of fixed length
+  ``len(cap)`` and rejects a move before building its shape when the shape
+  would leave the cap, so no shape outside the envelope is ever made. The
+  sums run in integers scaled by m!, which every centralizer order z
+  divides, with one exact division per table entry at the end.
 
 The route declines (returns None) when the outer shape is not thin enough or
 a determinant term would carry two large factors; callers then fall back to
@@ -34,6 +39,7 @@ from collections import defaultdict
 from fractions import Fraction
 from functools import cache
 from itertools import permutations
+from math import factorial
 from typing import Iterable
 
 from .lr import _perm_sign, dual_pieri_expansion
@@ -56,27 +62,42 @@ def _within(shape: Partition, cap: tuple[int, ...]) -> bool:
 
 
 @cache
-def _strip_additions(shape: Partition, k: int) -> tuple[tuple[Partition, int], ...]:
-    """All ways to add a border strip of k boxes: (bigger, sign) pairs.
+def _strip_additions(
+    shape: Partition, k: int, cap: tuple[int, ...]
+) -> tuple[tuple[Partition, int], ...]:
+    """All ways to add a border strip of k boxes inside cap: (bigger, sign) pairs.
 
-    Mirror image of border-strip removal on the beta numbers: a strip
-    addition replaces a beta number b by b+k when the target slot is free,
-    with sign (-1) to the number of beta numbers strictly in between.
+    Mirror image of border-strip removal on the beta numbers, taken with the
+    fixed length ``len(cap)``, so a shape with more rows than the cap cannot
+    be formed. Moving the beta number of row i up by k to a free slot lands
+    it in row p, shifts rows p..i-1 down by one row (each gains a box) and
+    has sign (-1)^(i-p). A move is rejected before its shape is built when
+    the new part at p or a shifted row would exceed its cap. Nothing is
+    added to a shape outside the cap.
     """
-    L = len(shape) + k
-    beta = [(shape[i] if i < len(shape) else 0) + (L - 1 - i) for i in range(L)]
-    present = set(beta)
+    if not _within(shape, cap):
+        return ()
+    n, length = len(cap), len(shape)
+    parts = list(shape) + [0] * (n - length)
+    beta = [parts[i] + n - 1 - i for i in range(n)]
     out = []
-    for b in beta:
-        nb = b + k
-        if nb in present:
+    # a row at or past length + k would land on an occupied beta number
+    for i in range(min(n, length + k)):
+        nb = beta[i] + k
+        p = i
+        while p and beta[p - 1] < nb and parts[p - 1] < cap[p]:
+            p -= 1
+        if p and beta[p - 1] <= nb:
+            continue  # slot taken, or row p-1 cannot shift down within the cap
+        new = parts[i] + k - (i - p)
+        if new > cap[p]:
             continue
-        height = sum(1 for x in beta if b < x < nb)
-        rebuilt = sorted((x for x in beta if x != b), reverse=True)
-        rebuilt.append(nb)
-        rebuilt.sort(reverse=True)
-        parts = [rebuilt[i] - (L - 1 - i) for i in range(L)]
-        out.append((Partition(parts), -1 if height % 2 else 1))
+        bigger = parts[:p]
+        bigger.append(new)
+        bigger += [x + 1 for x in parts[p:i]]
+        bigger += parts[i + 1:max(length, i + 1)]
+        # canonical by construction: weakly decreasing, no trailing zeros
+        out.append((tuple.__new__(Partition, bigger), -1 if (i - p) % 2 else 1))
     return tuple(out)
 
 
@@ -107,17 +128,29 @@ def _small_expansion(kind: str, a: int, m: int) -> tuple[tuple[Partition, int], 
 class _RowTables:
     """Envelope-pruned Schur expansions of the one-piece compositions.
 
-    ``tables[kind][a]`` maps each partition inside the envelope to its
-    coefficient in the composition of (h_a or e_a) with the one-row shape.
-    Coefficients inside the envelope are exact; growing the envelope resets
-    the tables, so callers should warm it with every target shape they will
-    query (see :func:`warm_tables`).
+    ``tables[kind][a]`` maps each partition inside the envelope ``cap`` to
+    its coefficient in the composition of (h_a or e_a) with the one-row
+    shape. Table a is built from tables a-1, ..., 0 by Newton's identity,
+    multiplying by the composed power sums with :func:`_strip_additions`
+    restricted to the cap. The power-sum weights of the row shape are 1/z,
+    kept scaled by m! as integers; each entry is divided by m!·a once, and
+    a remainder raises :class:`ExactnessError`. Coefficients inside the
+    envelope are exact; growing the envelope resets the tables, so callers
+    should warm it with every target shape they will query (see
+    :func:`warm_tables`).
     """
 
     def __init__(self, m: int):
         self.m = m
         self.cap: tuple[int, ...] = ()
-        self._row_pexp = tuple(schur_to_powersum(Partition((m,))).items())
+        self._scale = factorial(m)
+        weights = []
+        for kappa, zinv in schur_to_powersum(Partition((m,))).items():
+            scaled = zinv * self._scale
+            if scaled.denominator != 1:
+                raise ExactnessError(f"{m}!/z_{kappa} = {scaled} is not integral")
+            weights.append((kappa, scaled.numerator))
+        self._row_pexp = tuple(weights)
         self._reset()
 
     def _reset(self) -> None:
@@ -126,7 +159,6 @@ class _RowTables:
             "h": [dict(one)],
             "e": [dict(one)],
         }
-        self._addcache: dict[tuple[Partition, int], tuple[tuple[Partition, int], ...]] = {}
 
     def extend_cap(self, shapes: Iterable[Partition]) -> None:
         shapes = list(shapes)
@@ -144,22 +176,13 @@ class _RowTables:
         self.cap = tuple(cap)
         self._reset()
 
-    def _additions(self, shape: Partition, k: int) -> tuple[tuple[Partition, int], ...]:
-        key = (shape, k)
-        hit = self._addcache.get(key)
-        if hit is None:
-            hit = tuple(
-                (ns, sg) for ns, sg in _strip_additions(shape, k) if _within(ns, self.cap)
-            )
-            self._addcache[key] = hit
-        return hit
-
     def _mul_power_sum(
         self, level: dict[Partition, int], k: int
     ) -> dict[Partition, int]:
+        cap = self.cap
         out: defaultdict[Partition, int] = defaultdict(int)
         for shape, c in level.items():
-            for bigger, sign in self._additions(shape, k):
+            for bigger, sign in _strip_additions(shape, k, cap):
                 out[bigger] += c * sign
         return {s: v for s, v in out.items() if v}
 
@@ -167,13 +190,13 @@ class _RowTables:
         tabs = self.tables[kind]
         while len(tabs) <= a:
             b = len(tabs)
-            acc: defaultdict[Partition, Fraction] = defaultdict(Fraction)
+            acc: defaultdict[Partition, int] = defaultdict(int)
             for r in range(1, b + 1):
                 src = tabs[b - r]
                 if not src:
                     continue
                 base = 1 if kind == "h" else (-1) ** (r - 1)
-                for kappa, zfrac in self._row_pexp:
+                for kappa, weight in self._row_pexp:
                     level = src
                     for part in kappa:
                         level = self._mul_power_sum(level, r * part)
@@ -181,19 +204,20 @@ class _RowTables:
                             break
                     if not level:
                         continue
-                    coeff = base * zfrac
+                    coeff = base * weight
                     for shape, c in level.items():
                         acc[shape] += coeff * c
+            denom = self._scale * b
             tab: dict[Partition, int] = {}
             for shape, val in acc.items():
                 if not val:
                     continue
-                q = val / b
-                if q.denominator != 1:
+                q, rem = divmod(val, denom)
+                if rem:
                     raise ExactnessError(
-                        f"table coefficient {q} at {shape} is not integral"
+                        f"table coefficient {Fraction(val, denom)} at {shape} is not integral"
                     )
-                tab[shape] = int(q)
+                tab[shape] = q
             tabs.append(tab)
 
     def value(self, kind: str, a: int, shape: Partition) -> int:
@@ -254,11 +278,22 @@ def row_coefficient(nu: Partition, lam: Partition, m: int) -> int | None:
         terms.append((_perm_sign(w), sizes[big_i], smalls))
     if not terms:
         return 0
-    tables = None
-    if m > 2:
+    if m == 2:
+        predicate = _all_even_rows if kind == "h" else _arm_excess_one
+
+        def pair(big: int, level: dict[Partition, int]) -> int:
+            return sum(c for rho, c in level.items() if predicate(rho))
+
+    else:
         tables = _tables_for(m)
         if not _within(nu, tables.cap):
             tables.extend_cap([nu])
+
+        def pair(big: int, level: dict[Partition, int]) -> int:
+            tables.ensure(kind, big)
+            tab = tables.tables[kind][big]
+            return sum(c * tab.get(rho, 0) for rho, c in level.items())
+
     total = 0
     for sign, big, smalls in terms:
         level: dict[Partition, int] = {nu: 1}
@@ -272,15 +307,6 @@ def row_coefficient(nu: Partition, lam: Partition, m: int) -> int | None:
             level = {sh: v for sh, v in nxt.items() if v}
             if not level:
                 break
-        if not level:
-            continue
-        if m == 2:
-            predicate = _all_even_rows if kind == "h" else _arm_excess_one
-            sub = sum(c for rho, c in level.items() if predicate(rho))
-        else:
-            assert tables is not None
-            tables.ensure(kind, big)
-            tab = tables.tables[kind][big]
-            sub = sum(c * tab.get(rho, 0) for rho, c in level.items())
-        total += sign * sub
+        if level:
+            total += sign * pair(big, level)
     return total

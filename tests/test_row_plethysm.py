@@ -4,10 +4,17 @@ The two implementations share nothing past the partition layer, so
 agreement on overlapping domains is strong evidence for both.
 """
 
-import pytest
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-from plethlab import Partition, partitions_of, plethysm_schur
-from plethlab.plethysm import _plethysm_items
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+import plethlab
+from plethlab import Partition, contains, partitions_of, plethysm_schur
+from plethlab.plethysm import _coefficient_by_characters, _plethysm_items
 from plethlab import row_plethysm as rp
 
 P = Partition
@@ -120,3 +127,176 @@ def test_row_route_against_character_pairing_beyond_full_expansion():
             assert plethysm_coefficient(nu, lam, P((m,))) == _coefficient_by_characters(
                 nu, lam, P((m,))
             )
+
+
+# ---------------------------------------------------------------------------
+# The capped strip-addition kernel against a brute-force reference
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def shape_inside_cap(draw):
+    cap = tuple(sorted(draw(st.lists(st.integers(1, 7), min_size=1, max_size=6)), reverse=True))
+    parts = []
+    for bound in cap:
+        part = draw(st.integers(0, min(bound, parts[-1]) if parts else bound))
+        if not part:
+            break
+        parts.append(part)
+    return P(parts), cap
+
+
+def _capped_supersets(inner, cap, size):
+    """Every partition of size inside cap that contains inner."""
+    out = []
+
+    def rec(prefix, left):
+        i = len(prefix)
+        if i == len(cap) or not left:
+            if not left and contains(P(prefix), inner):
+                out.append(P(prefix))
+            return
+        high = min(cap[i], prefix[-1] if prefix else cap[i], left)
+        for part in range(high, 0, -1):
+            rec(prefix + [part], left - part)
+
+    rec([], size)
+    return out
+
+
+def _border_strip_sign(outer, inner):
+    """(-1)^(rows-1) if outer/inner is a connected border strip, else None."""
+    cells = {
+        (r, c)
+        for r in range(len(outer))
+        for c in range(inner[r] if r < len(inner) else 0, outer[r])
+    }
+    if any({(r, c + 1), (r + 1, c), (r + 1, c + 1)} <= cells for r, c in cells):
+        return None
+    start = min(cells)
+    seen, todo = {start}, [start]
+    while todo:
+        r, c = todo.pop()
+        for cell in ((r + 1, c), (r - 1, c), (r, c + 1), (r, c - 1)):
+            if cell in cells and cell not in seen:
+                seen.add(cell)
+                todo.append(cell)
+    if seen != cells:
+        return None
+    return -1 if len({r for r, _ in cells}) % 2 == 0 else 1
+
+
+@given(shape_inside_cap(), st.integers(1, 8))
+@settings(max_examples=150, deadline=None)
+def test_capped_strip_additions_match_brute_force(shape_cap, k):
+    shape, cap = shape_cap
+    expected = set()
+    for nu in _capped_supersets(shape, cap, shape.size + k):
+        sign = _border_strip_sign(nu, shape)
+        if sign is not None:
+            expected.add((nu, sign))
+    got = rp._strip_additions(shape, k, cap)
+    assert len(got) == len(set(got))
+    assert set(got) == expected
+    for nu, _ in got:
+        assert type(nu) is Partition and tuple(nu) == tuple(Partition(nu))
+
+
+def test_no_strip_is_added_to_a_shape_outside_the_cap():
+    assert rp._strip_additions(P((4, 1)), 2, (3, 3)) == ()
+    assert rp._strip_additions(P((1, 1, 1)), 1, (3, 3)) == ()
+
+
+# ---------------------------------------------------------------------------
+# Random m = 3 queries across independent routes
+# ---------------------------------------------------------------------------
+
+
+def _row_route_from_small_envelope(nu, lam):
+    """Row-route value of nu after warming the m = 3 tables with a tiny envelope."""
+    rp.reset_tables()
+    rp.warm_tables([P((3,))], 3)
+    value = rp.row_coefficient(nu, lam, 3)
+    assert rp._within(nu, rp._tables_for(3).cap)
+    return value
+
+
+def _query(data, sizes):
+    lam = data.draw(st.sampled_from([lam for n in sizes for lam in partitions_of(n)]))
+    targets = [nu for nu in partitions_of(3 * lam.size) if len(nu) <= lam.size]
+    return data.draw(st.sampled_from(targets)), lam
+
+
+@given(st.data())
+@settings(
+    max_examples=15,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_row_route_matches_full_expansion_on_random_inputs(data):
+    nu, lam = _query(data, range(1, 6))  # degree <= 15
+    expected = dict(_plethysm_items(lam, P((3,)))).get(nu, 0)
+    assert _row_route_from_small_envelope(nu, lam) == expected
+
+
+@given(st.data())
+@settings(
+    max_examples=12,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_row_route_matches_character_pairing_on_random_inputs(data):
+    nu, lam = _query(data, (6, 7))  # degree 18 and 21
+    # the warmed envelope (5, 1) holds 6 boxes, so the query rebuilds it
+    assert not rp._within(nu, (5, 1))
+    expected = _coefficient_by_characters(nu, lam, P((3,)))
+    assert _row_route_from_small_envelope(nu, lam) == expected
+
+
+# ---------------------------------------------------------------------------
+# Integrality checks without assertions
+# ---------------------------------------------------------------------------
+
+_CORRUPTED_WEIGHTS = """
+import sys
+from fractions import Fraction
+
+from plethlab import ExactnessError, Partition
+from plethlab import row_plethysm as rp
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+
+tables = rp._RowTables(3)
+tables.extend_cap([Partition((9, 3))])
+kappa, weight = tables._row_pexp[0]
+tables._row_pexp = ((kappa, weight + 1),) + tables._row_pexp[1:]
+try:
+    tables.ensure("h", 3)
+except ExactnessError:
+    pass
+else:
+    sys.exit("a corrupted m!/z weight was not detected")
+
+rp.schur_to_powersum = lambda lam: {Partition((3,)): Fraction(1, 7)}
+try:
+    rp._RowTables(3)
+except ExactnessError:
+    pass
+else:
+    sys.exit("a weight m!/z that is not an integer was not detected")
+"""
+
+
+def test_integrality_checks_fire_under_python_O():
+    src = str(Path(plethlab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _CORRUPTED_WEIGHTS],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
