@@ -10,7 +10,9 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 An optional on-disk coefficient cache (``--cache PATH``) persists computed
 plethysm coefficients between runs, one ``key<TAB>value`` pair per line with
 canonical ``nu|lam|mu`` keys. The cache is transparent: values never depend
-on it, and corrupt files are ignored with a warning. ``--timing`` adds a
+on it, and corrupt files are ignored with a warning. It is written to a
+temporary file beside it and then renamed over it, so a write that fails
+partway leaves the previous cache intact. ``--timing`` adds a
 wall-time field to each record; it is off by default because timing breaks
 byte-for-byte reproducibility.
 """
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -96,8 +99,15 @@ def _load_cache(path: Path) -> dict[str, int]:
 
 
 def _save_cache(path: Path, store: dict[str, int]) -> None:
-    lines = [f"{k}\t{v}" for k, v in sorted(store.items())]
-    path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            for key, value in sorted(store.items()):
+                fh.write(f"{key}\t{value}\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:

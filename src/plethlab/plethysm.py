@@ -1,10 +1,15 @@
 """Exact plethysm of Schur functions.
 
-The workhorse route goes through the power-sum basis with exact rational
-arithmetic: expand both factors over power sums, compose them with the
-substitution rules (a power sum composed into a power sum multiplies the
-indices), and convert back using symmetric group characters. Nothing here
-ever touches floating point.
+The workhorse route goes through the power-sum basis with exact arithmetic:
+expand both factors over power sums, compose them with the substitution
+rules (a power sum composed into a power sum multiplies the indices), and
+convert back to Schur functions. The conversion scales the power-sum
+weights to integers over one common denominator and multiplies the empty
+Schur function by each power sum in turn, adding border strips on beta
+numbers (the Murnaghan-Nakayama rule read forwards); it shares the products
+of power sums with a common prefix by evaluating them Horner-fashion over a
+trie of their indices, and divides each total by the denominator exactly at
+the end. Nothing here ever touches floating point.
 
 An independent brute-force route (:func:`plethysm_oracle`) expands Schur
 polynomials into monomials, substitutes the monomial multiset of the inner
@@ -17,7 +22,8 @@ Single coefficients are answered by the cheapest sound route: small products
 use the cached full expansion; large coefficients against a one-row inner
 shape go through Jacobi-Trudi factorization (see :mod:`row_plethysm`);
 everything else falls back to pairing the power-sum expansion against a
-single character, which never materializes the full expansion.
+single Murnaghan-Nakayama character, which never materializes the full
+expansion.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import factorial, lcm
 from typing import Iterable, MutableMapping
 
 from .lr import dual_pieri_expansion
@@ -60,32 +66,87 @@ _FULL_CUTOFF = 15
 
 
 # ---------------------------------------------------------------------------
-# Symmetric group characters (Murnaghan-Nakayama)
+# Border strips on beta numbers; symmetric group characters (Murnaghan-Nakayama)
 # ---------------------------------------------------------------------------
+
+
+def _within(shape: Partition, cap: tuple[int, ...]) -> bool:
+    if len(shape) > len(cap):
+        return False
+    return all(shape[i] <= cap[i] for i in range(len(shape)))
+
+
+@cache
+def _strip_additions(
+    shape: Partition, k: int, cap: tuple[int, ...]
+) -> tuple[tuple[Partition, int], ...]:
+    """All ways to add a border strip of k boxes inside cap: (bigger, sign) pairs.
+
+    This is multiplication of a Schur function by the power sum p_k, shared
+    by :func:`powersum_to_schur` and the row tables of :mod:`row_plethysm`.
+    Mirror image of border-strip removal on the beta numbers, taken with the
+    fixed length ``len(cap)``, so a shape with more rows than the cap cannot
+    be formed. Moving the beta number of row i up by k to a free slot lands
+    it in row p, shifts rows p..i-1 down by one row (each gains a box) and
+    has sign (-1)^(i-p). A move is rejected before its shape is built when
+    the new part at p or a shifted row would exceed its cap. Nothing is
+    added to a shape outside the cap.
+    """
+    if not _within(shape, cap):
+        return ()
+    n, length = len(cap), len(shape)
+    parts = list(shape) + [0] * (n - length)
+    beta = [parts[i] + n - 1 - i for i in range(n)]
+    out = []
+    # a row at or past length + k would land on an occupied beta number
+    for i in range(min(n, length + k)):
+        nb = beta[i] + k
+        p = i
+        while p and beta[p - 1] < nb and parts[p - 1] < cap[p]:
+            p -= 1
+        if p and beta[p - 1] <= nb:
+            continue  # slot taken, or row p-1 cannot shift down within the cap
+        new = parts[i] + k - (i - p)
+        if new > cap[p]:
+            continue
+        bigger = parts[:p]
+        bigger.append(new)
+        bigger += [x + 1 for x in parts[p:i]]
+        bigger += parts[i + 1:max(length, i + 1)]
+        # canonical by construction: weakly decreasing, no trailing zeros
+        out.append((tuple.__new__(Partition, bigger), -1 if (i - p) % 2 else 1))
+    return tuple(out)
 
 
 @cache
 def _strip_removals(lam: Partition, k: int) -> tuple[tuple[Partition, int], ...]:
     """All ways to remove a border strip of k boxes: (rest, sign) pairs.
 
-    Works on the first-column hook lengths ("beta numbers"): removing a
-    k-strip replaces a beta number b by b-k, and the sign is (-1) to the
-    number of beta numbers strictly between them.
+    Mirror image of :func:`_strip_additions`. Moving the beta number of row
+    i down by k to a free slot lands it in row q-1, below the q-1-i beta
+    numbers it passes: rows i+1..q-1 move up one row and each lose a box,
+    and the sign is (-1)^(q-1-i).
     """
     L = len(lam)
     beta = [lam[i] + (L - 1 - i) for i in range(L)]
-    present = set(beta)
     out = []
-    for b in beta:
-        nb = b - k
-        if nb < 0 or nb in present:
+    for i in range(L):
+        nb = beta[i] - k
+        if nb < 0:
             continue
-        height = sum(1 for x in beta if nb < x < b)
-        rebuilt = sorted((x for x in beta if x != b), reverse=True)
-        rebuilt.append(nb)
-        rebuilt.sort(reverse=True)
-        parts = [rebuilt[i] - (L - 1 - i) for i in range(L)]
-        out.append((Partition(parts), -1 if height % 2 else 1))
+        q = i + 1
+        while q < L and beta[q] > nb:
+            q += 1
+        if q < L and beta[q] == nb:
+            continue  # slot taken
+        rest = list(lam[:i])
+        rest += [x - 1 for x in lam[i + 1:q]]
+        rest.append(nb - (L - q))
+        rest += lam[q:]
+        while rest and not rest[-1]:
+            rest.pop()
+        # canonical by construction: the new beta numbers are distinct
+        out.append((tuple.__new__(Partition, rest), -1 if (q - 1 - i) % 2 else 1))
     return tuple(out)
 
 
@@ -94,7 +155,7 @@ def _character(lam: Partition, mu: Partition) -> int:
     if not mu:
         return 1
     k = mu[0]
-    rest = Partition(mu[1:])
+    rest = tuple.__new__(Partition, mu[1:])
     total = 0
     for smaller, sign in _strip_removals(lam, k):
         total += sign * _character(smaller, rest)
@@ -194,29 +255,56 @@ def powersum_plethysm(f, g) -> dict[Partition, Fraction]:
     return {k: v for k, v in out.items() if v}
 
 
+def _scaled_to_integers(f: dict[Partition, Fraction]) -> tuple[int, dict[Partition, int]]:
+    """(D, g) with D the least common denominator of f's weights and g = D·f."""
+    denom = lcm(*(c.denominator for c in f.values()))
+    return denom, {mu: c.numerator * (denom // c.denominator) for mu, c in f.items()}
+
+
+def _horner(node: list, cap: tuple[int, ...]) -> dict[Partition, int]:
+    """w·s_∅ + Σ_a p_a·W(child a) for a trie node [w, {a: child}]."""
+    weight, children = node
+    acc: defaultdict[Partition, int] = defaultdict(int)
+    if weight:
+        acc[Partition()] = weight
+    for a, child in children.items():
+        for shape, c in _horner(child, cap).items():
+            for bigger, sign in _strip_additions(shape, a, cap):
+                acc[bigger] += sign * c
+    return {shape: c for shape, c in acc.items() if c}
+
+
 def powersum_to_schur(f) -> dict[Partition, int]:
     """Schur expansion of a homogeneous power-sum expansion.
 
-    The coefficient of each Schur function is the character pairing; a
-    non-integral result means the input was not an integral symmetric
-    function and raises :class:`ExactnessError`.
+    The weights are scaled to integers over their least common denominator
+    D. The power sums are gathered into a trie by their indices, parts in
+    decreasing order, and evaluated Horner-fashion from the leaves up: each
+    node multiplies its children's Schur expansions by p_a through border
+    strip additions (inside the n×n box, which prunes nothing at degree n)
+    and adds its own weight at the empty shape. Each total is divided by D
+    exactly; a remainder means the input was not an integral symmetric
+    function and raises :class:`ExactnessError`. Entries come in the order
+    of :func:`partitions_of`.
     """
     f = _normalize_pexp(f)
     degree = _pexp_degree(f)
+    denom, scaled = _scaled_to_integers(f)
+    root: list = [0, {}]
+    for mu, w in scaled.items():
+        node = root
+        for part in mu:
+            node = node[1].setdefault(part, [0, {}])
+        node[0] += w
     out: dict[Partition, int] = {}
-    items = tuple(f.items())
-    for lam in partitions_of(degree):
-        total = Fraction(0)
-        for mu, c in items:
-            chi = _character(lam, mu)
-            if chi:
-                total += c * chi
-        if total:
-            if total.denominator != 1:
-                raise ExactnessError(
-                    f"non-integral Schur coefficient {total} at {lam}"
-                )
-            out[lam] = int(total)
+    # descending tuple order is the reverse-lexicographic order of partitions_of
+    for lam, total in sorted(_horner(root, (degree,) * degree).items(), reverse=True):
+        q, rem = divmod(total, denom)
+        if rem:
+            raise ExactnessError(
+                f"non-integral Schur coefficient {Fraction(total, denom)} at {lam}"
+            )
+        out[lam] = q
     return out
 
 
@@ -374,14 +462,16 @@ def install_coefficient_store(store: MutableMapping[str, int] | None) -> None:
 
 def _coefficient_by_characters(nu: Partition, lam: Partition, mu: Partition) -> int:
     composed = powersum_plethysm(schur_to_powersum(lam), schur_to_powersum(mu))
-    total = Fraction(0)
-    for rho, c in composed.items():
+    denom, scaled = _scaled_to_integers(composed)
+    total = 0
+    for rho, c in scaled.items():
         chi = _character(nu, rho)
         if chi:
             total += c * chi
-    if total.denominator != 1:
-        raise ExactnessError(f"non-integral coefficient {total}")
-    return int(total)
+    q, rem = divmod(total, denom)
+    if rem:
+        raise ExactnessError(f"non-integral coefficient {Fraction(total, denom)}")
+    return q
 
 
 def _coefficient(nu: Partition, lam: Partition, mu: Partition) -> int:

@@ -22,10 +22,11 @@ factor:
   pruned to an envelope of the target shapes (row bounds, the "cap").
   Pruning is sound because multiplying by a power sum only adds boxes, so
   anything outside a downward-closed envelope can never re-enter it. The
-  multiplication adds border strips on beta numbers of fixed length
-  ``len(cap)`` and rejects a move before building its shape when the shape
-  would leave the cap, so no shape outside the envelope is ever made. The
-  sums run in integers scaled by m!, which every centralizer order z
+  multiplication (the strip-addition kernel of :mod:`plethysm`, which also
+  serves the full expansions) adds border strips on beta numbers of fixed
+  length ``len(cap)`` and rejects a move before building its shape when the
+  shape would leave the cap, so no shape outside the envelope is ever made.
+  The sums run in integers scaled by m!, which every centralizer order z
   divides, with one exact division per table entry at the end.
 
 The route declines (returns None) when the outer shape is not thin enough or
@@ -44,7 +45,13 @@ from typing import Iterable
 
 from .lr import _perm_sign, dual_pieri_expansion
 from .partitions import Partition, as_partition, conjugate
-from .plethysm import ExactnessError, _plethysm_items, schur_to_powersum
+from .plethysm import (
+    ExactnessError,
+    _plethysm_items,
+    _strip_additions,
+    _within,
+    schur_to_powersum,
+)
 
 __all__ = ["row_coefficient", "warm_tables", "reset_tables"]
 
@@ -53,52 +60,6 @@ __all__ = ["row_coefficient", "warm_tables", "reset_tables"]
 _SMALL_FACTOR_CAP = 18
 # Maximum number of Jacobi-Trudi rows (= permutations up to 120 terms).
 _THIN_MAX = 5
-
-
-def _within(shape: Partition, cap: tuple[int, ...]) -> bool:
-    if len(shape) > len(cap):
-        return False
-    return all(shape[i] <= cap[i] for i in range(len(shape)))
-
-
-@cache
-def _strip_additions(
-    shape: Partition, k: int, cap: tuple[int, ...]
-) -> tuple[tuple[Partition, int], ...]:
-    """All ways to add a border strip of k boxes inside cap: (bigger, sign) pairs.
-
-    Mirror image of border-strip removal on the beta numbers, taken with the
-    fixed length ``len(cap)``, so a shape with more rows than the cap cannot
-    be formed. Moving the beta number of row i up by k to a free slot lands
-    it in row p, shifts rows p..i-1 down by one row (each gains a box) and
-    has sign (-1)^(i-p). A move is rejected before its shape is built when
-    the new part at p or a shifted row would exceed its cap. Nothing is
-    added to a shape outside the cap.
-    """
-    if not _within(shape, cap):
-        return ()
-    n, length = len(cap), len(shape)
-    parts = list(shape) + [0] * (n - length)
-    beta = [parts[i] + n - 1 - i for i in range(n)]
-    out = []
-    # a row at or past length + k would land on an occupied beta number
-    for i in range(min(n, length + k)):
-        nb = beta[i] + k
-        p = i
-        while p and beta[p - 1] < nb and parts[p - 1] < cap[p]:
-            p -= 1
-        if p and beta[p - 1] <= nb:
-            continue  # slot taken, or row p-1 cannot shift down within the cap
-        new = parts[i] + k - (i - p)
-        if new > cap[p]:
-            continue
-        bigger = parts[:p]
-        bigger.append(new)
-        bigger += [x + 1 for x in parts[p:i]]
-        bigger += parts[i + 1:max(length, i + 1)]
-        # canonical by construction: weakly decreasing, no trailing zeros
-        out.append((tuple.__new__(Partition, bigger), -1 if (i - p) % 2 else 1))
-    return tuple(out)
 
 
 def _all_even_rows(p: Partition) -> bool:
@@ -143,6 +104,7 @@ class _RowTables:
     def __init__(self, m: int):
         self.m = m
         self.cap: tuple[int, ...] = ()
+        self._targets: tuple[int, ...] = ()  # row-wise union of the target shapes
         self._scale = factorial(m)
         weights = []
         for kappa, zinv in schur_to_powersum(Partition((m,))).items():
@@ -161,18 +123,16 @@ class _RowTables:
         }
 
     def extend_cap(self, shapes: Iterable[Partition]) -> None:
-        shapes = list(shapes)
-        rows = max([len(self.cap)] + [len(s) for s in shapes])
-        cap = []
-        for i in range(rows):
-            best = self.cap[i] if i < len(self.cap) else 0
-            for s in shapes:
-                if i < len(s) and s[i] > best:
-                    best = s[i]
-            cap.append(best)
+        # the slack goes on the union of every target so far, so repeated
+        # rebuilds do not ratchet the cap wider than any target needs
+        shapes = [self._targets, *shapes]
+        rows = max(len(s) for s in shapes)
+        targets = tuple(max(s[i] for s in shapes if i < len(s)) for i in range(rows))
+        cap = list(targets)
         if cap:
             cap[0] += 2  # mild slack against near-miss rebuilds
             cap.append(min(cap[-1], 1))
+        self._targets = targets
         self.cap = tuple(cap)
         self._reset()
 

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+from plethlab import cli
+
 
 def run_cli(*args, cwd=None):
     proc = subprocess.run(
@@ -132,3 +134,40 @@ def test_records_round_trip_through_serialization():
     line = proc.stdout.strip()
     rec = json.loads(line)
     assert json.dumps(rec, sort_keys=True, separators=(",", ":")) == line
+
+
+_FAILING_SAVE = """
+import resource
+import signal
+import sys
+from pathlib import Path
+
+from plethlab import cli
+
+cache = Path(sys.argv[1])
+# writes past 4 KiB fail with EFBIG instead of killing the process
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))
+try:
+    cli._save_cache(cache, {f"{n}|{n}|1": n for n in range(1, 2000)})
+except OSError:
+    pass
+else:
+    sys.exit("the oversized write did not fail")
+"""
+
+
+def test_cache_write_failing_partway_leaves_the_old_store(tmp_path):
+    cache = tmp_path / "coefficients.tsv"
+    cli._save_cache(cache, {"4|2|2": 1, "2,2|2|1,1": 1})
+    old = cache.read_bytes()
+    assert old == b"2,2|2|1,1\t1\n4|2|2\t1\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", _FAILING_SAVE, str(cache)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert cache.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == [cache.name]

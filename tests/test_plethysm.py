@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import plethlab
 from plethlab import (
     ExactnessError,
     Partition,
@@ -17,6 +23,7 @@ from plethlab import (
     schur_to_powersum,
     skew_plethysm_coefficient,
 )
+from plethlab.plethysm import _coefficient_by_characters
 
 P = Partition
 
@@ -281,3 +288,85 @@ def test_concurrent_coefficient_queries_are_consistent():
     with ThreadPoolExecutor(max_workers=8) as pool:
         threaded = list(pool.map(lambda j: plethysm_coefficient(*j), jobs))
     assert serial == threaded
+
+
+# ---------------------------------------------------------------------------
+# Random inputs across independent routes
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def small_pair(draw):
+    """(lam, mu), both nonempty, with |lam|·|mu| <= 12."""
+    a = draw(st.integers(1, 12))
+    b = draw(st.integers(1, 12 // a))
+    return draw(st.sampled_from(list(partitions_of(a)))), draw(
+        st.sampled_from(list(partitions_of(b)))
+    )
+
+
+@given(small_pair())
+@settings(max_examples=25, deadline=None)
+def test_full_expansion_matches_character_pairing_and_oracle(pair):
+    lam, mu = pair
+    degree = lam.size * mu.size
+    full = plethysm_schur(lam, mu)
+    for nu in partitions_of(degree):
+        assert full.get(nu, 0) == _coefficient_by_characters(nu, lam, mu)
+    if degree <= 6:
+        assert full == plethysm_oracle(lam, mu)
+
+
+@given(st.integers(0, 8).flatmap(
+    lambda n: st.dictionaries(
+        st.sampled_from(list(partitions_of(n))), st.integers(-5, 5), max_size=6
+    )
+))
+@settings(max_examples=40, deadline=None)
+def test_random_schur_combinations_round_trip_through_power_sums(combination):
+    pexp = {}
+    for lam, c in combination.items():
+        for mu, v in schur_to_powersum(lam).items():
+            pexp[mu] = pexp.get(mu, 0) + c * v
+    assert powersum_to_schur(pexp) == {lam: c for lam, c in combination.items() if c}
+
+
+_NON_INTEGRAL_INPUTS = """
+import sys
+from fractions import Fraction
+
+from plethlab import ExactnessError, Partition
+from plethlab import plethysm as pl
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+
+try:
+    pl.powersum_to_schur({Partition((2,)): Fraction(1, 2), Partition((1, 1)): Fraction(1, 3)})
+except ExactnessError:
+    pass
+else:
+    sys.exit("a non-integral Schur expansion was not detected")
+
+pl.powersum_plethysm = lambda f, g: {Partition((2,)): Fraction(1, 2)}
+try:
+    pl._coefficient_by_characters(Partition((2,)), Partition((2,)), Partition((1,)))
+except ExactnessError:
+    pass
+else:
+    sys.exit("a non-integral character pairing was not detected")
+"""
+
+
+def test_exactness_checks_fire_under_python_O():
+    src = str(Path(plethlab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _NON_INTEGRAL_INPUTS],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

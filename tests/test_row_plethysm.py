@@ -103,6 +103,17 @@ def test_envelope_growth_preserves_values():
     assert before == after == dict(_plethysm_items(lam, P((3,)))).get(nu_small, 0)
 
 
+def test_incremental_warming_gives_the_one_shot_cap():
+    rp.warm_tables([P((9, 3))], 3)
+    rp.warm_tables([P((9, 3, 1, 1))], 3)
+    assert rp._tables_for(3).cap == (11, 3, 1, 1, 1)
+    rp.warm_tables([P((12, 4))], 3)
+    incremental = rp._tables_for(3).cap
+    rp.reset_tables()
+    rp.warm_tables([P((9, 3)), P((9, 3, 1, 1)), P((12, 4))], 3)
+    assert incremental == rp._tables_for(3).cap == (14, 4, 1, 1, 1)
+
+
 def test_uncued_query_grows_envelope_on_the_fly():
     lam = P((6, 1))
     nu = P((14, 4, 2, 1))
