@@ -13,9 +13,10 @@ moment a box is filled and dead branches are cut immediately.
 
 For large diagrams the package never enumerates fillings of the big shape.
 Skew expansions of large shapes by a small removed shape go through
-:func:`dual_pieri_expansion`, an iterated horizontal/vertical strip removal
-driven by the Jacobi-Trudi determinant of the small shape. The two routes
-compute the same numbers and are tested against each other.
+:func:`dual_pieri_expansion`, an iterated horizontal strip removal driven by
+the Jacobi-Trudi determinant of the small shape (conjugated first when it is
+tall). The two routes compute the same numbers and are tested against each
+other.
 """
 
 from __future__ import annotations
@@ -129,7 +130,7 @@ def _word_type(word: Sequence[int]) -> Partition:
     mult = [0] * max(word)
     for v in word:
         mult[v - 1] += 1
-    # weakly decreasing by the lattice condition; the constructor asserts it
+    # weakly decreasing by the lattice condition; the constructor raises otherwise
     return Partition(mult)
 
 
@@ -255,34 +256,24 @@ def _hstrip_removals(shape: Partition, k: int) -> tuple[Partition, ...]:
 
 
 @cache
-def _vstrip_removals(shape: Partition, k: int) -> tuple[Partition, ...]:
-    """Partitions obtained by removing a vertical strip of k boxes."""
-    n = len(shape)
-    out: list[Partition] = []
-    cur: list[int] = []
+def _jacobi_trudi_terms(theta: Partition) -> tuple[bool, tuple[tuple[int, tuple[int, ...]], ...]]:
+    """Jacobi-Trudi terms of a nonempty theta: (horizontal, ((sign, sizes), ...)).
 
-    def rec(i: int, rem: int) -> None:
-        if rem > n - i:  # at most one box per remaining row
-            return
-        if i == n:
-            out.append(Partition(cur))
-            return
-        prev = cur[-1] if cur else shape[0]
-        for delta in (0, 1):
-            v = shape[i] - delta
-            if delta > rem or v < 0 or v > prev:
-                continue
-            cur.append(v)
-            rec(i + 1, rem - delta)
-            cur.pop()
-
-    rec(0, k)
-    return tuple(out)
-
-
-def _perm_sign(w: Sequence[int]) -> int:
-    inv = sum(1 for i in range(len(w)) for j in range(i + 1, len(w)) if w[i] > w[j])
-    return -1 if inv % 2 else 1
+    Over the rows of theta (h entries, ``horizontal``) or its columns (e
+    entries), whichever side is shorter: a permutation w of that side's parts
+    gives sign(w) and the sizes parts[i] - i + w(i), unless one is negative.
+    """
+    horizontal = len(theta) <= theta[0]
+    parts = theta if horizontal else conjugate(theta)
+    k = len(parts)
+    terms = []
+    for w in permutations(range(k)):
+        sizes = tuple(parts[i] - i + w[i] for i in range(k))
+        if min(sizes) < 0:
+            continue
+        inversions = sum(w[i] > w[j] for i in range(k) for j in range(i + 1, k))
+        terms.append((-1 if inversions % 2 else 1, sizes))
+    return horizontal, tuple(terms)
 
 
 @cache
@@ -291,32 +282,28 @@ def dual_pieri_expansion(rho: Partition, theta: Partition) -> tuple[tuple[Partit
 
     Same numbers as :func:`skew_schur_expansion` of ``rho/x`` read the other
     way: the pair ``(x, c)`` satisfies c = c^rho_{theta,x}. Computed by
-    expanding the removed shape's Jacobi-Trudi determinant, over its rows or
-    its columns, whichever side is shorter, and applying the corresponding
-    strip removals to rho; this scales to large rho as long as theta stays
-    small.
+    applying the terms of theta's Jacobi-Trudi determinant over its rows to
+    rho as iterated horizontal strip removals; this scales to large rho as
+    long as theta stays small. A theta with more rows than columns goes
+    through the conjugation symmetry c^rho_{theta,x} = c^rho'_{theta',x'}.
     """
     if not theta:
         return ((rho, 1),)
     if theta.size > rho.size or not contains(rho, theta):
         return ()
-    horizontal = len(theta) <= theta[0]
-    parts = theta if horizontal else conjugate(theta)
-    removals = _hstrip_removals if horizontal else _vstrip_removals
-    k = len(parts)
+    horizontal, terms = _jacobi_trudi_terms(theta)
+    if not horizontal:
+        flipped = dual_pieri_expansion(conjugate(rho), conjugate(theta))
+        return tuple(sorted((conjugate(x), c) for x, c in flipped))
     acc: defaultdict[Partition, int] = defaultdict(int)
-    for w in permutations(range(k)):
-        sizes = [parts[i] - (i + 1) + (w[i] + 1) for i in range(k)]
-        if any(s < 0 for s in sizes):
-            continue
-        sign = _perm_sign(w)
+    for sign, sizes in terms:
         level: dict[Partition, int] = {rho: 1}
         for s in sizes:
             if s == 0:
                 continue
             nxt: defaultdict[Partition, int] = defaultdict(int)
             for shape, c in level.items():
-                for sub in removals(shape, s):
+                for sub in _hstrip_removals(shape, s):
                     nxt[sub] += c
             level = nxt
             if not level:

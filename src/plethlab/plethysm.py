@@ -32,7 +32,8 @@ from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import cache
 from math import factorial, lcm
-from typing import Iterable, MutableMapping
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, MutableMapping
 
 from .lr import dual_pieri_expansion
 from .partitions import (
@@ -82,8 +83,9 @@ def _strip_additions(
 ) -> tuple[tuple[Partition, int], ...]:
     """All ways to add a border strip of k boxes inside cap: (bigger, sign) pairs.
 
-    This is multiplication of a Schur function by the power sum p_k, shared
-    by :func:`powersum_to_schur` and the row tables of :mod:`row_plethysm`.
+    This is multiplication of a Schur function by the power sum p_k
+    (:func:`_mul_power_sum`), shared by :func:`powersum_to_schur` and the
+    row tables of :mod:`row_plethysm`.
     Mirror image of border-strip removal on the beta numbers, taken with the
     fixed length ``len(cap)``, so a shape with more rows than the cap cannot
     be formed. Moving the beta number of row i up by k to a free slot lands
@@ -116,6 +118,17 @@ def _strip_additions(
         # canonical by construction: weakly decreasing, no trailing zeros
         out.append((tuple.__new__(Partition, bigger), -1 if (i - p) % 2 else 1))
     return tuple(out)
+
+
+def _mul_power_sum(
+    level: dict[Partition, int], k: int, cap: tuple[int, ...], out: defaultdict
+) -> defaultdict:
+    """Add p_k times the Schur expansion level, restricted to the shapes
+    inside cap, into out; returns out."""
+    for shape, c in level.items():
+        for bigger, sign in _strip_additions(shape, k, cap):
+            out[bigger] += sign * c
+    return out
 
 
 @cache
@@ -268,9 +281,7 @@ def _horner(node: list, cap: tuple[int, ...]) -> dict[Partition, int]:
     if weight:
         acc[Partition()] = weight
     for a, child in children.items():
-        for shape, c in _horner(child, cap).items():
-            for bigger, sign in _strip_additions(shape, a, cap):
-                acc[bigger] += sign * c
+        _mul_power_sum(_horner(child, cap), a, cap, acc)
     return {shape: c for shape, c in acc.items() if c}
 
 
@@ -314,16 +325,15 @@ def powersum_to_schur(f) -> dict[Partition, int]:
 
 
 @cache
-def _plethysm_items(lam: Partition, mu: Partition) -> tuple[tuple[Partition, int], ...]:
-    composed = powersum_plethysm(schur_to_powersum(lam), schur_to_powersum(mu))
-    expansion = powersum_to_schur(composed)
-    return tuple(sorted(expansion.items()))
+def _composed(lam: Partition, mu: Partition) -> dict[Partition, Fraction]:
+    """Power-sum expansion of the plethysm of the two Schur functions."""
+    return powersum_plethysm(schur_to_powersum(lam), schur_to_powersum(mu))
 
 
 @cache
-def _plethysm_lookup(lam: Partition, mu: Partition) -> dict[Partition, int]:
-    # internal read-only view; callers must not mutate
-    return dict(_plethysm_items(lam, mu))
+def _plethysm_items(lam: Partition, mu: Partition) -> Mapping[Partition, int]:
+    """Read-only full Schur expansion, keys in increasing order."""
+    return MappingProxyType(dict(sorted(powersum_to_schur(_composed(lam, mu)).items())))
 
 
 def plethysm_schur(lam: Iterable[int], mu: Iterable[int]) -> dict[Partition, int]:
@@ -461,8 +471,7 @@ def install_coefficient_store(store: MutableMapping[str, int] | None) -> None:
 
 
 def _coefficient_by_characters(nu: Partition, lam: Partition, mu: Partition) -> int:
-    composed = powersum_plethysm(schur_to_powersum(lam), schur_to_powersum(mu))
-    denom, scaled = _scaled_to_integers(composed)
+    denom, scaled = _scaled_to_integers(_composed(lam, mu))
     total = 0
     for rho, c in scaled.items():
         chi = _character(nu, rho)
@@ -491,7 +500,7 @@ def _coefficient(nu: Partition, lam: Partition, mu: Partition) -> int:
         if len(nu) > lam.size:
             return 0
         if degree <= _FULL_CUTOFF:
-            return _plethysm_lookup(lam, mu).get(nu, 0)
+            return _plethysm_items(lam, mu).get(nu, 0)
         from . import row_plethysm
 
         value = row_plethysm.row_coefficient(nu, lam, m)
@@ -499,7 +508,7 @@ def _coefficient(nu: Partition, lam: Partition, mu: Partition) -> int:
             return value
         return _coefficient_by_characters(nu, lam, mu)
     if degree <= _FULL_CUTOFF:
-        return _plethysm_lookup(lam, mu).get(nu, 0)
+        return _plethysm_items(lam, mu).get(nu, 0)
     return _coefficient_by_characters(nu, lam, mu)
 
 
@@ -548,19 +557,24 @@ def skew_plethysm_coefficient(target, source, mu: Iterable[int]) -> int:
     non-contained inner part; reduces to :func:`plethysm_coefficient` when
     both inner parts are empty.
     """
+    return _skew_coefficient(target, source, as_partition(mu), plethysm_coefficient)
+
+
+def _skew_coefficient(target, source, mu: Partition, straight: Callable[..., int]) -> int:
+    """Bilinear extension of ``straight(nu, lam, mu)`` to skew nu and lam,
+    both expanded by :func:`dual_pieri_expansion`."""
     target, source = as_skew(target), as_skew(source)
-    mu = as_partition(mu)
     if not target.is_contained or not source.is_contained:
         return 0
     if not target.inner and not source.inner:
-        return plethysm_coefficient(target.outer, source.outer, mu)
+        return straight(target.outer, source.outer, mu)
     if target.size != mu.size * source.size:
         return 0
     source_terms = dual_pieri_expansion(source.outer, source.inner)
     total = 0
     for zeta, cz in dual_pieri_expansion(target.outer, target.inner):
         for eta, ce in source_terms:
-            a = plethysm_coefficient(zeta, eta, mu)
+            a = straight(zeta, eta, mu)
             if a:
                 total += cz * ce * a
     return total

@@ -2,7 +2,8 @@
 
 For an inner shape with a single row, the outer Schur function is expanded
 through its Jacobi-Trudi determinant, over its rows or its columns
-(whichever side is shorter), and composition distributes over the
+(whichever side is shorter; the terms are the ones
+:func:`lr.dual_pieri_expansion` uses), and composition distributes over the
 determinant because composing with a fixed symmetric function is a ring
 homomorphism in the first argument. Each determinant term is then a product
 of one-piece compositions: complete homogeneous pieces on the row side,
@@ -22,8 +23,8 @@ factor:
   pruned to an envelope of the target shapes (row bounds, the "cap").
   Pruning is sound because multiplying by a power sum only adds boxes, so
   anything outside a downward-closed envelope can never re-enter it. The
-  multiplication (the strip-addition kernel of :mod:`plethysm`, which also
-  serves the full expansions) adds border strips on beta numbers of fixed
+  multiplication (``_mul_power_sum`` of :mod:`plethysm`, which also serves
+  the full expansions) adds border strips on beta numbers of fixed
   length ``len(cap)`` and rejects a move before building its shape when the
   shape would leave the cap, so no shape outside the envelope is ever made.
   The sums run in integers scaled by m!, which every centralizer order z
@@ -39,16 +40,16 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from functools import cache
-from itertools import permutations
 from math import factorial
-from typing import Iterable
+from typing import Iterable, Mapping
 
-from .lr import _perm_sign, dual_pieri_expansion
+from .lr import _jacobi_trudi_terms, dual_pieri_expansion
 from .partitions import Partition, as_partition, conjugate
 from .plethysm import (
     ExactnessError,
+    _mul_power_sum,
     _plethysm_items,
-    _strip_additions,
+    _strip_additions,  # noqa: F401  perfbench/layers.py reads the kernel's cache here
     _within,
     schur_to_powersum,
 )
@@ -81,7 +82,7 @@ def _arm_excess_one(p: Partition) -> bool:
 
 
 @cache
-def _small_expansion(kind: str, a: int, m: int) -> tuple[tuple[Partition, int], ...]:
+def _small_expansion(kind: str, a: int, m: int) -> Mapping[Partition, int]:
     shape = Partition((a,)) if kind == "h" else Partition((1,) * a)
     return _plethysm_items(shape, Partition((m,)))
 
@@ -136,16 +137,6 @@ class _RowTables:
         self.cap = tuple(cap)
         self._reset()
 
-    def _mul_power_sum(
-        self, level: dict[Partition, int], k: int
-    ) -> dict[Partition, int]:
-        cap = self.cap
-        out: defaultdict[Partition, int] = defaultdict(int)
-        for shape, c in level.items():
-            for bigger, sign in _strip_additions(shape, k, cap):
-                out[bigger] += c * sign
-        return {s: v for s, v in out.items() if v}
-
     def ensure(self, kind: str, a: int) -> None:
         tabs = self.tables[kind]
         while len(tabs) <= a:
@@ -159,7 +150,8 @@ class _RowTables:
                 for kappa, weight in self._row_pexp:
                     level = src
                     for part in kappa:
-                        level = self._mul_power_sum(level, r * part)
+                        out = _mul_power_sum(level, r * part, self.cap, defaultdict(int))
+                        level = {shape: c for shape, c in out.items() if c}
                         if not level:
                             break
                     if not level:
@@ -221,21 +213,17 @@ def row_coefficient(nu: Partition, lam: Partition, m: int) -> int | None:
     rows, cols = len(lam), lam[0]
     if min(rows, cols) > _THIN_MAX:
         return None
-    kind = "h" if rows <= cols else "e"
-    parts = lam if kind == "h" else conjugate(lam)
-    k = len(parts)
+    horizontal, jacobi_trudi = _jacobi_trudi_terms(lam)
+    kind = "h" if horizontal else "e"
     terms = []
-    for w in permutations(range(k)):
-        sizes = tuple(parts[i] - (i + 1) + (w[i] + 1) for i in range(k))
-        if any(s < 0 for s in sizes):
-            continue
-        big_i = max(range(k), key=lambda i: sizes[i])
+    for sign, sizes in jacobi_trudi:
+        big_i = sizes.index(max(sizes))
         smalls = tuple(
             sorted((s for i, s in enumerate(sizes) if i != big_i and s > 0), reverse=True)
         )
         if smalls and m * smalls[0] > _SMALL_FACTOR_CAP:
             return None
-        terms.append((_perm_sign(w), sizes[big_i], smalls))
+        terms.append((sign, sizes[big_i], smalls))
     if not terms:
         return 0
     if m == 2:
@@ -259,7 +247,7 @@ def row_coefficient(nu: Partition, lam: Partition, m: int) -> int | None:
         level: dict[Partition, int] = {nu: 1}
         for s in smalls:
             nxt: defaultdict[Partition, int] = defaultdict(int)
-            expansion = _small_expansion(kind, s, m)
+            expansion = _small_expansion(kind, s, m).items()
             for rho, c in level.items():
                 for theta, tc in expansion:
                     for smaller, c2 in dual_pieri_expansion(rho, theta):

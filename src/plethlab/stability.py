@@ -23,9 +23,9 @@ coefficient to a double sum of skew coefficients one row-size down.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Iterator
 
-from .lr import dual_pieri_expansion
 from .partitions import (
     Partition,
     SkewShape,
@@ -41,7 +41,7 @@ from .partitions import (
     partitions_of,
     remove_first_column,
 )
-from .plethysm import plethysm_coefficient, skew_plethysm_coefficient
+from .plethysm import _skew_coefficient, plethysm_coefficient, skew_plethysm_coefficient
 from .row_plethysm import warm_tables
 
 __all__ = [
@@ -188,25 +188,40 @@ def coefficient_sequence(
 # ---------------------------------------------------------------------------
 
 
-def _skew_coefficient_maybe_deep(target, source, m: int, deep: bool) -> int:
-    if not deep or m < 2:
-        return skew_plethysm_coefficient(target, source, Partition((m,)))
-    target, source = as_skew(target), as_skew(source)
-    if not target.is_contained or not source.is_contained:
-        return 0
-    if target.size != m * source.size:
-        return 0
-    mu = Partition((m,))
+def _deep_coefficient(nu: Partition, lam: Partition, mu: Partition) -> int:
+    if lam:
+        return recurrence_coefficient(lam, nu, mu[0], deep=True)
+    return plethysm_coefficient(nu, lam, mu)
+
+
+def _skew_coefficient_maybe_deep(target, source, mu: Partition, deep: bool) -> int:
+    if not deep or mu[0] < 2:
+        return skew_plethysm_coefficient(target, source, mu)
+    return _skew_coefficient(target, source, mu, _deep_coefficient)
+
+
+def _alternating_sum(nu: Partition, lam: Partition, r: int, skew) -> int:
+    """Sum over i <= k = |lam| - len(nu), beta |- i and alpha |- k + r*i of
+    (-1)^(k+i) skew(alpha/(k-i), beta', (r+1)) skew(nu^/alpha, lam'/beta, (r)),
+    where nu^ is nu without its first column and (s) the row of size s."""
+    upper, lower = Partition((r + 1,)), Partition((r,))
+    k = lam.size - len(nu)
+    nu_hat = remove_first_column(nu)
+    lam_conj = conjugate(lam)
     total = 0
-    source_terms = dual_pieri_expansion(source.outer, source.inner)
-    for zeta, cz in dual_pieri_expansion(target.outer, target.inner):
-        for eta, ce in source_terms:
-            if eta:
-                a = recurrence_coefficient(eta, zeta, m, deep=True)
-            else:
-                a = plethysm_coefficient(zeta, eta, mu)
-            if a:
-                total += cz * ce * a
+    for i in range(k + 1):
+        sign = -1 if (k + i) % 2 else 1
+        inner_row = Partition((k - i,))
+        for beta in partitions_of(i):
+            source_first = SkewShape.straight(conjugate(beta))
+            source_second = SkewShape(lam_conj, beta)
+            for alpha in partitions_of(k + r * i):
+                first = skew(SkewShape(alpha, inner_row), source_first, upper)
+                if not first:
+                    continue
+                second = skew(SkewShape(nu_hat, alpha), source_second, lower)
+                if second:
+                    total += sign * first * second
     return total
 
 
@@ -235,27 +250,8 @@ def recurrence_coefficient(
     n = lam.size
     if nu.size != m * n or len(nu) > n:
         return 0
-    k = n - len(nu)
-    nu_hat = remove_first_column(nu)
-    lam_conj = conjugate(lam)
-    total = 0
-    for i in range(k + 1):
-        sign = -1 if (k + i) % 2 else 1
-        inner_row = Partition((k - i,))
-        for beta in partitions_of(i):
-            source_first = SkewShape.straight(conjugate(beta))
-            source_second = SkewShape(lam_conj, beta)
-            for alpha in partitions_of(k + (m - 1) * i):
-                first = _skew_coefficient_maybe_deep(
-                    SkewShape(alpha, inner_row), source_first, m, deep
-                )
-                if not first:
-                    continue
-                second = _skew_coefficient_maybe_deep(
-                    SkewShape(nu_hat, alpha), source_second, m - 1, deep
-                )
-                if second:
-                    total += sign * first * second
+    skew = partial(_skew_coefficient_maybe_deep, deep=deep)
+    total = _alternating_sum(nu, lam, m - 1, skew)
     direct = plethysm_coefficient(nu, lam, Partition((m,)))
     if total != direct:
         raise VerificationError(
@@ -316,29 +312,8 @@ def verify_growth_identity(
         )
     nu_j = grow_arm_legs(nu, l, m + 1, j)
     lam_j = grow_line(lam, l, m + 1, j)
-    k = (n + j) - len(nu_j)
-    warm_tables([nu_j], m + 1)
     lhs = plethysm_coefficient(nu_j, lam_j, Partition((m + 1,)))
-    nu_hat = remove_first_column(nu_j)
-    lam_conj = conjugate(lam_j)
-    rhs = 0
-    for i in range(k + 1):
-        sign = -1 if (k + i) % 2 else 1
-        inner_row = Partition((k - i,))
-        for beta in partitions_of(i):
-            source_first = SkewShape.straight(conjugate(beta))
-            source_second = SkewShape(lam_conj, beta)
-            for alpha in partitions_of(k + m * i):
-                first = skew_plethysm_coefficient(
-                    SkewShape(alpha, inner_row), source_first, Partition((m + 1,))
-                )
-                if not first:
-                    continue
-                second = skew_plethysm_coefficient(
-                    SkewShape(nu_hat, alpha), source_second, Partition((m,))
-                )
-                if second:
-                    rhs += sign * first * second
+    rhs = _alternating_sum(nu_j, lam_j, m, skew_plethysm_coefficient)
     return GrowthIdentityReport(lhs, rhs, lhs == rhs, False)
 
 

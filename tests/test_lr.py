@@ -1,4 +1,4 @@
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 import pytest
 
 from plethlab import (
@@ -110,6 +110,10 @@ def contained_pair(draw, max_size=9):
 
 @given(contained_pair())
 @settings(max_examples=60, deadline=None)
+# tall inner shapes, which go through the conjugation route on every run
+@example((Partition((3, 3, 2, 1)), Partition((1, 1, 1))))
+@example((Partition((4, 3, 3, 2, 1)), Partition((2, 1, 1, 1))))
+@example((Partition((2, 2, 2, 2)), Partition((1, 1, 1, 1))))
 def test_dual_pieri_matches_enumeration(pair):
     outer, inner = pair
     got = dict(dual_pieri_expansion(outer, inner))

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -274,6 +275,23 @@ def test_skew_coefficient_bilinear_consistency():
     assert skew_plethysm_coefficient(target, source, mu) == want
 
 
+def test_skew_coefficient_weights_terms_by_their_multiplicities():
+    # s_{321/21} = s_3 + 2 s_21 + s_111 and s_{432/21} has 2 s_321: each
+    # side's multiplicity must weigh its terms in the bilinear sum
+    from plethlab import skew_schur_expansion
+
+    target = SkewShape(P((4, 3, 2)), P((2, 1)))
+    source = SkewShape(P((3, 2, 1)), P((2, 1)))
+    mu = P((2,))
+    targets, sources = skew_schur_expansion(target), skew_schur_expansion(source)
+    assert targets[P((3, 2, 1))] == sources[P((2, 1))] == 2
+    want = 0
+    for zeta, cz in targets.items():
+        for eta, ce in sources.items():
+            want += cz * ce * plethysm_schur(eta, mu).get(zeta, 0)
+    assert skew_plethysm_coefficient(target, source, mu) == want == 10
+
+
 def test_concurrent_coefficient_queries_are_consistent():
     # pure functions with idempotent memo tables: hammer them from threads
     from concurrent.futures import ThreadPoolExecutor
@@ -370,3 +388,17 @@ def test_exactness_checks_fire_under_python_O():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert statements, so no internal check may rely on one
+    package = Path(plethlab.__file__).resolve().parent
+    sources = sorted(package.glob("*.py"))
+    assert sources
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, f"assert statements vanish under python -O: {found}"

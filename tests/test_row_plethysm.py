@@ -13,7 +13,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import plethlab
-from plethlab import Partition, contains, partitions_of, plethysm_schur
+from plethlab import (
+    Partition,
+    contains,
+    grow_arm_legs,
+    grow_line,
+    partitions_of,
+    plethysm_schur,
+    verify_growth_identity,
+)
 from plethlab.plethysm import _coefficient_by_characters, _plethysm_items
 from plethlab import row_plethysm as rp
 
@@ -119,6 +127,18 @@ def test_uncued_query_grows_envelope_on_the_fly():
     nu = P((14, 4, 2, 1))
     expected = dict(_plethysm_items(lam, P((3,)))).get(nu, 0)
     assert rp.row_coefficient(nu, lam, 3) == expected
+
+
+def test_growth_identity_reads_the_m3_row_tables():
+    # grown triple (8, 2, 2, 2, 2, 2) in s_(6)[h_3]: degree 18 is past the
+    # full-expansion cutoff, so the left side comes from the m = 3 tables,
+    # whose envelope the query grows without any warming by the caller
+    nu, lam, l, m, j = P((4, 2)), P((2,)), 1, 2, 4
+    report = verify_growth_identity(nu, lam, l, m, j)
+    assert report.equal and not report.vacuous
+    nu_j, lam_j = grow_arm_legs(nu, l, m + 1, j), grow_line(lam, l, m + 1, j)
+    assert rp._within(nu_j, rp._tables_for(3).cap)
+    assert report.lhs == _coefficient_by_characters(nu_j, lam_j, P((m + 1,)))
 
 
 def test_row_route_against_character_pairing_beyond_full_expansion():
