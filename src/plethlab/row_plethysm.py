@@ -23,7 +23,7 @@ factor:
   pruned to an envelope of the target shapes (row bounds, the "cap").
   Pruning is sound because multiplying by a power sum only adds boxes, so
   anything outside a downward-closed envelope can never re-enter it. The
-  multiplication (``_mul_power_sum`` of :mod:`plethysm`, which also serves
+  multiplication (``_mul_power_sum`` of :mod:`powersum`, which also serves
   the full expansions) adds border strips on beta numbers of fixed
   length ``len(cap)`` and rejects a move before building its shape when the
   shape would leave the cap, so no shape outside the envelope is ever made.
@@ -44,9 +44,8 @@ from math import factorial
 from typing import Iterable, Mapping
 
 from .lr import _jacobi_trudi_terms, dual_pieri_expansion
-from .partitions import Partition, as_partition, conjugate
-from .plethysm import (
-    ExactnessError,
+from .partitions import ExactnessError, Partition, as_partition, conjugate
+from .powersum import (
     _mul_power_sum,
     _plethysm_items,
     _strip_additions,  # noqa: F401  perfbench/layers.py reads the kernel's cache here
@@ -171,10 +170,6 @@ class _RowTables:
                     )
                 tab[shape] = q
             tabs.append(tab)
-
-    def value(self, kind: str, a: int, shape: Partition) -> int:
-        self.ensure(kind, a)
-        return self.tables[kind][a].get(shape, 0)
 
 
 _tables: dict[int, _RowTables] = {}

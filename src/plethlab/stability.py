@@ -189,15 +189,10 @@ def coefficient_sequence(
 
 
 def _deep_coefficient(nu: Partition, lam: Partition, mu: Partition) -> int:
-    if lam:
+    """The reduction for a nonempty lam at row size >= 2, else the direct engine."""
+    if lam and mu[0] >= 2:
         return recurrence_coefficient(lam, nu, mu[0], deep=True)
     return plethysm_coefficient(nu, lam, mu)
-
-
-def _skew_coefficient_maybe_deep(target, source, mu: Partition, deep: bool) -> int:
-    if not deep or mu[0] < 2:
-        return skew_plethysm_coefficient(target, source, mu)
-    return _skew_coefficient(target, source, mu, _deep_coefficient)
 
 
 def _alternating_sum(nu: Partition, lam: Partition, r: int, skew) -> int:
@@ -250,7 +245,10 @@ def recurrence_coefficient(
     n = lam.size
     if nu.size != m * n or len(nu) > n:
         return 0
-    skew = partial(_skew_coefficient_maybe_deep, deep=deep)
+    if deep:
+        skew = partial(_skew_coefficient, straight=_deep_coefficient)
+    else:
+        skew = skew_plethysm_coefficient
     total = _alternating_sum(nu, lam, m - 1, skew)
     direct = plethysm_coefficient(nu, lam, Partition((m,)))
     if total != direct:
@@ -384,15 +382,6 @@ class ScanReport:
     @property
     def not_stabilized(self) -> tuple[ScanCell, ...]:
         return tuple(c for c in self.cells if not c.report.window_confirmed)
-
-    def monotone_violations(self, families=None) -> tuple[ScanCell, ...]:
-        out = []
-        for c in self.cells:
-            if c.report.weakly_increasing:
-                continue
-            if families is None or (c.l, c.m) in families:
-                out.append(c)
-        return tuple(out)
 
     @property
     def proven_family_violations(self) -> tuple[ScanCell, ...]:

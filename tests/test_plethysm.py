@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 import pytest
@@ -68,7 +69,7 @@ def test_character_size_mismatch_rejected():
 
 def test_column_orthogonality_of_characters():
     # sum over lam of chi(lam, mu)^2 equals the centralizer order of mu
-    from plethlab.plethysm import _centralizer_order
+    from plethlab.powersum import _centralizer_order
 
     for n in range(1, 7):
         for mu in partitions_of(n):
@@ -355,6 +356,7 @@ from fractions import Fraction
 
 from plethlab import ExactnessError, Partition
 from plethlab import plethysm as pl
+from plethlab import powersum as ps
 
 if not sys.flags.optimize:
     sys.exit("not running under -O")
@@ -366,7 +368,7 @@ except ExactnessError:
 else:
     sys.exit("a non-integral Schur expansion was not detected")
 
-pl.powersum_plethysm = lambda f, g: {Partition((2,)): Fraction(1, 2)}
+ps.powersum_plethysm = lambda f, g: {Partition((2,)): Fraction(1, 2)}
 try:
     pl._coefficient_by_characters(Partition((2,)), Partition((2,)), Partition((1,)))
 except ExactnessError:
@@ -402,3 +404,43 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements vanish under python -O: {found}"
+
+
+def _package_imports():
+    """(module, line, imported module, inside a function) for every relative
+    import in the package, however deeply nested."""
+    package = Path(plethlab.__file__).resolve().parent
+    modules = {path.stem for path in package.glob("*.py")}
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        nested = {
+            id(inner)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            for inner in ast.walk(node)
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom) or not node.level:
+                continue
+            if node.module:
+                targets = [node.module.split(".")[0]]
+            else:  # "from . import x": a sibling module, or a name of __init__
+                targets = [a.name if a.name in modules else "__init__" for a in node.names]
+            for target in targets:
+                found.append((path.stem, node.lineno, target, id(node) in nested))
+    return found
+
+
+def test_package_imports_are_top_level_and_acyclic():
+    imports = _package_imports()
+    assert imports
+    nested = [f"{module}.py:{line}" for module, line, _, inside in imports if inside]
+    assert not nested, f"imports inside functions hide module dependencies: {nested}"
+    graph: dict[str, set[str]] = {}
+    for module, _, target, _ in imports:
+        graph.setdefault(module, set()).add(target)
+    try:
+        tuple(TopologicalSorter(graph).static_order())
+    except CycleError as exc:
+        pytest.fail(f"import cycle between modules: {exc.args[1]}")

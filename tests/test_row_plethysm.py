@@ -284,6 +284,20 @@ def test_row_route_matches_character_pairing_on_random_inputs(data):
     assert _row_route_from_small_envelope(nu, lam) == expected
 
 
+@given(st.data())
+@settings(
+    max_examples=12,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_m2_closed_forms_match_character_pairing_on_random_inputs(data):
+    # degree 16..20, above the full-expansion cutoff
+    lam = data.draw(st.sampled_from([lam for n in (8, 9, 10) for lam in partitions_of(n)]))
+    targets = [nu for nu in partitions_of(2 * lam.size) if len(nu) <= lam.size]
+    nu = data.draw(st.sampled_from(targets))
+    assert rp.row_coefficient(nu, lam, 2) == _coefficient_by_characters(nu, lam, P((2,)))
+
+
 # ---------------------------------------------------------------------------
 # Integrality checks without assertions
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plethlab import (
     Partition,
@@ -183,6 +184,18 @@ def test_reduction_deep_mode():
                 assert recurrence_coefficient(lam, nu, 3, deep=True) == plethysm_coefficient(
                     nu, lam, P((3,))
                 )
+
+
+@given(st.data())
+@settings(max_examples=50, deadline=None)
+def test_deep_reduction_matches_direct_on_random_inputs(data):
+    m = data.draw(st.integers(2, 5))
+    lam = data.draw(st.sampled_from([lam for n in (1, 2, 3) for lam in partitions_of(n)]))
+    targets = [nu for nu in partitions_of(m * lam.size) if len(nu) <= lam.size]
+    nu = data.draw(st.sampled_from(targets))
+    assert recurrence_coefficient(lam, nu, m, deep=True) == plethysm_coefficient(
+        nu, lam, P((m,))
+    )
 
 
 def test_reduction_mismatch_raises():
