@@ -21,7 +21,6 @@ expansion.
 from __future__ import annotations
 
 from collections import defaultdict
-from fractions import Fraction
 from functools import cache
 from typing import Callable, Iterable, MutableMapping
 
@@ -37,6 +36,7 @@ from .partitions import (
 from .powersum import (
     _character,
     _composed,
+    _exact_quotients,
     _plethysm_items,
     _scaled_to_integers,
     character_value,
@@ -207,10 +207,7 @@ def _coefficient_by_characters(nu: Partition, lam: Partition, mu: Partition) -> 
         chi = _character(nu, rho)
         if chi:
             total += c * chi
-    q, rem = divmod(total, denom)
-    if rem:
-        raise ExactnessError(f"non-integral coefficient {Fraction(total, denom)}")
-    return q
+    return _exact_quotients({nu: total}, denom).get(nu, 0)
 
 
 def _coefficient(nu: Partition, lam: Partition, mu: Partition) -> int:

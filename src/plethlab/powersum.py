@@ -11,8 +11,8 @@ with a common prefix by evaluating them Horner-fashion over a trie of their
 indices, and divides each total by the denominator exactly at the end.
 Nothing here ever touches floating point.
 
-The strip kernel :func:`_mul_power_sum` also builds the row tables of
-:mod:`row_plethysm`.
+The same evaluator :func:`_horner`, started from a base expansion in place
+of the empty Schur function, builds the row tables of :mod:`row_plethysm`.
 """
 
 from __future__ import annotations
@@ -51,9 +51,9 @@ def _strip_additions(
 ) -> tuple[tuple[Partition, int], ...]:
     """All ways to add a border strip of k boxes inside cap: (bigger, sign) pairs.
 
-    This is multiplication of a Schur function by the power sum p_k
-    (:func:`_mul_power_sum`), shared by :func:`powersum_to_schur` and the
-    row tables of :mod:`row_plethysm`.
+    This is multiplication of a Schur function by the power sum p_k, the
+    step of :func:`_horner`, which evaluates both the full expansions of
+    :func:`powersum_to_schur` and the row tables of :mod:`row_plethysm`.
     Mirror image of border-strip removal on the beta numbers, taken with the
     fixed length ``len(cap)``, so a shape with more rows than the cap cannot
     be formed. Moving the beta number of row i up by k to a free slot lands
@@ -86,17 +86,6 @@ def _strip_additions(
         # canonical by construction: weakly decreasing, no trailing zeros
         out.append((tuple.__new__(Partition, bigger), -1 if (i - p) % 2 else 1))
     return tuple(out)
-
-
-def _mul_power_sum(
-    level: dict[Partition, int], k: int, cap: tuple[int, ...], out: defaultdict
-) -> defaultdict:
-    """Add p_k times the Schur expansion level, restricted to the shapes
-    inside cap, into out; returns out."""
-    for shape, c in level.items():
-        for bigger, sign in _strip_additions(shape, k, cap):
-            out[bigger] += sign * c
-    return out
 
 
 @cache
@@ -242,15 +231,43 @@ def _scaled_to_integers(f: dict[Partition, Fraction]) -> tuple[int, dict[Partiti
     return denom, {mu: c.numerator * (denom // c.denominator) for mu, c in f.items()}
 
 
-def _horner(node: list, cap: tuple[int, ...]) -> dict[Partition, int]:
-    """w·s_∅ + Σ_a p_a·W(child a) for a trie node [w, {a: child}]."""
+def _trie(terms: Iterable[tuple[tuple[int, ...], int]]) -> list:
+    """The trie [w, {a: child}] of weighted power sums (indices, w)."""
+    root: list = [0, {}]
+    for indices, w in terms:
+        node = root
+        for a in indices:
+            node = node[1].setdefault(a, [0, {}])
+        node[0] += w
+    return root
+
+
+def _horner(node: list, cap: tuple[int, ...], base: Mapping, out: defaultdict) -> defaultdict:
+    """Add Σ w·p_indices·base over the power sums of the trie into out; returns out.
+    A node [w, {a: child}] gives w·base + Σ_a p_a·(the child's sum), each p_a
+    adding border strips inside cap to the shapes whose coefficient is nonzero."""
     weight, children = node
-    acc: defaultdict[Partition, int] = defaultdict(int)
     if weight:
-        acc[Partition()] = weight
+        for shape, c in base.items():
+            out[shape] += weight * c
     for a, child in children.items():
-        _mul_power_sum(_horner(child, cap), a, cap, acc)
-    return {shape: c for shape, c in acc.items() if c}
+        for shape, c in _horner(child, cap, base, defaultdict(int)).items():
+            if c:
+                for bigger, sign in _strip_additions(shape, a, cap):
+                    out[bigger] += sign * c
+    return out
+
+
+def _exact_quotients(totals: Mapping, denom: int) -> dict:
+    """Each nonzero total divided by denom; a remainder raises ExactnessError."""
+    out = {}
+    for key, total in totals.items():
+        if total:
+            q, rem = divmod(total, denom)
+            if rem:
+                raise ExactnessError(f"non-integral coefficient {total}/{denom} at {key}")
+            out[key] = q
+    return out
 
 
 def powersum_to_schur(f) -> dict[Partition, int]:
@@ -258,33 +275,19 @@ def powersum_to_schur(f) -> dict[Partition, int]:
 
     The weights are scaled to integers over their least common denominator
     D. The power sums are gathered into a trie by their indices, parts in
-    decreasing order, and evaluated Horner-fashion from the leaves up: each
-    node multiplies its children's Schur expansions by p_a through border
-    strip additions (inside the n×n box, which prunes nothing at degree n)
-    and adds its own weight at the empty shape. Each total is divided by D
-    exactly; a remainder means the input was not an integral symmetric
-    function and raises :class:`ExactnessError`. Entries come in the order
-    of :func:`partitions_of`.
+    decreasing order, and :func:`_horner` multiplies them onto s_∅ by border
+    strip additions (inside the n×n box, which prunes nothing at degree n).
+    Each total is divided by D exactly; a remainder means the input was not
+    an integral symmetric function and raises :class:`ExactnessError`.
+    Entries come in the order of :func:`partitions_of`.
     """
     f = _normalize_pexp(f)
     degree = _pexp_degree(f)
     denom, scaled = _scaled_to_integers(f)
-    root: list = [0, {}]
-    for mu, w in scaled.items():
-        node = root
-        for part in mu:
-            node = node[1].setdefault(part, [0, {}])
-        node[0] += w
-    out: dict[Partition, int] = {}
+    trie = _trie(scaled.items())
+    totals = _horner(trie, (degree,) * degree, {Partition(): 1}, defaultdict(int))
     # descending tuple order is the reverse-lexicographic order of partitions_of
-    for lam, total in sorted(_horner(root, (degree,) * degree).items(), reverse=True):
-        q, rem = divmod(total, denom)
-        if rem:
-            raise ExactnessError(
-                f"non-integral Schur coefficient {Fraction(total, denom)} at {lam}"
-            )
-        out[lam] = q
-    return out
+    return dict(sorted(_exact_quotients(totals, denom).items(), reverse=True))
 
 
 # ---------------------------------------------------------------------------

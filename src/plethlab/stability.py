@@ -270,15 +270,6 @@ class GrowthIdentityReport:
     def __bool__(self) -> bool:
         return self.equal
 
-    def to_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "equal": self.equal,
-            "vacuous": self.vacuous,
-            "note": self.note,
-        }
-
 
 def verify_growth_identity(
     nu: Iterable[int], lam: Iterable[int], l: int, m: int, j: int

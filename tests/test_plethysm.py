@@ -25,6 +25,7 @@ from plethlab import (
     schur_to_powersum,
     skew_plethysm_coefficient,
 )
+from plethlab import plethysm as pl
 from plethlab.plethysm import _coefficient_by_characters
 
 P = Partition
@@ -211,6 +212,27 @@ def test_row_bound_exhaustive():
                 for nu in partitions_of(lam_n * m):
                     if len(nu) > lam_n:
                         assert plethysm_coefficient(nu, lam, P((m,))) == 0
+
+
+@pytest.mark.parametrize(
+    "nu,lam,mu",
+    [
+        ((20, 20), (2, 2), (10,)),  # row route: a small factor above the cap
+        ((36, 36), (6,) * 6, (2,)),  # row route: outer shape not thin
+        ((9, 9), (3, 3), (2, 1)),  # two-row inner shape above the full cutoff
+    ],
+)
+def test_dispatcher_falls_back_to_character_pairing(monkeypatch, nu, lam, mu):
+    sentinel = object()
+    calls = []
+
+    def fallback(*args):
+        calls.append(args)
+        return sentinel
+
+    monkeypatch.setattr(pl, "_coefficient_by_characters", fallback)
+    assert plethysm_coefficient(nu, lam, mu) is sentinel
+    assert calls == [(P(nu), P(lam), P(mu))]
 
 
 def test_involution_map_examples():

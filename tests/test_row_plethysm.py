@@ -51,14 +51,15 @@ def test_arm_excess_closed_form_matches_engine():
         assert all(v == 1 for v in full.values())
 
 
-def test_newton_tables_match_engine_for_small_pieces():
-    rp.warm_tables([P((15, 4, 3, 2, 1))], 3)
-    tables = rp._tables_for(3)
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_newton_tables_match_engine_for_small_pieces(m):
+    rp.warm_tables([P((15, 4, 3, 2, 1))], m)
+    tables = rp._tables_for(m)
     for kind in ("h", "e"):
         for a in range(0, 5):
             tables.ensure(kind, a)
             shape = P((a,)) if kind == "h" else P((1,) * a)
-            full = dict(_plethysm_items(shape, P((3,))))
+            full = dict(_plethysm_items(shape, P((m,))))
             table = tables.tables[kind][a]
             for nu, c in full.items():
                 if rp._within(nu, tables.cap):
