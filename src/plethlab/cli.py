@@ -7,14 +7,18 @@ identical output. ``--format csv`` is available for sequence values only.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 
+``verify`` emits one record per check of its fixed battery, with the number
+of cases that passed before the check's first failure (all of its cases when
+it passes), then a summary record.
+
 An optional on-disk coefficient cache (``--cache PATH``) persists computed
 plethysm coefficients between runs, one ``key<TAB>value`` pair per line with
 canonical ``nu|lam|mu`` keys. The cache is transparent: values never depend
 on it, and corrupt files are ignored with a warning. It is written to a
 temporary file beside it and then renamed over it, so a write that fails
-partway leaves the previous cache intact. ``--timing`` adds a
-wall-time field to each record; it is off by default because timing breaks
-byte-for-byte reproducibility.
+partway leaves the previous cache intact. ``--timing`` adds a wall-time
+field to each result record (per check for ``verify``, the aggregate for
+``scan``); it is off by default as it breaks byte-for-byte reproducibility.
 """
 
 from __future__ import annotations
@@ -45,6 +49,8 @@ from .plethysm import (
     plethysm_schur,
 )
 from .stability import (
+    DEFAULT_J_MAX,
+    DEFAULT_WINDOW,
     ScanBounds,
     SequenceSpec,
     VerificationError,
@@ -67,6 +73,14 @@ def _emit(record: dict, *, timing_ms: int | None = None) -> None:
     if timing_ms is not None:
         record["wall_ms"] = timing_ms
     sys.stdout.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+
+
+def _timed(args, fn, *a, **kw):
+    """``fn(*a, **kw)`` and its wall time in ms, or None without ``--timing``."""
+    t0 = time.monotonic()
+    value = fn(*a, **kw)
+    ms = int(1000 * (time.monotonic() - t0))
+    return value, ms if args.timing else None
 
 
 def _expansion_text(expansion: dict[Partition, int]) -> dict[str, int]:
@@ -122,15 +136,14 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_coeff(args) -> int:
+def _cmd_triple(args) -> int:
+    """``coeff`` and ``lr``: one coefficient of a nu|lambda|mu triple."""
     nu = parse_partition(args.nu)
     lam = parse_partition(args.lam)
     mu = parse_partition(args.mu)
-    t0 = time.monotonic()
-    value = plethysm_coefficient(nu, lam, mu)
-    ms = int(1000 * (time.monotonic() - t0))
+    value, ms = _timed(args, args.coefficient, nu, lam, mu)
     record = {
-        "command": "coeff",
+        "command": args.subcommand,
         "inputs": {
             "nu": format_partition(nu),
             "lambda": format_partition(lam),
@@ -138,67 +151,37 @@ def _cmd_coeff(args) -> int:
         },
         "output": value,
     }
+    ok = True
     if args.oracle:
         expected = plethysm_oracle(lam, mu).get(nu, 0) if lam.size * mu.size else None
-        if expected is not None and expected != value:
-            record["verification"] = {"oracle": expected, "ok": False}
-            _emit(record, timing_ms=ms if args.timing else None)
-            return EXIT_VERIFICATION
-        record["verification"] = {"oracle": expected, "ok": True}
-    _emit(record, timing_ms=ms if args.timing else None)
-    return EXIT_OK
-
-
-def _cmd_lr(args) -> int:
-    nu = parse_partition(args.nu)
-    lam = parse_partition(args.lam)
-    mu = parse_partition(args.mu)
-    t0 = time.monotonic()
-    value = lr_coefficient(nu, lam, mu)
-    ms = int(1000 * (time.monotonic() - t0))
-    _emit(
-        {
-            "command": "lr",
-            "inputs": {
-                "nu": format_partition(nu),
-                "lambda": format_partition(lam),
-                "mu": format_partition(mu),
-            },
-            "output": value,
-        },
-        timing_ms=ms if args.timing else None,
-    )
-    return EXIT_OK
+        ok = expected is None or expected == value
+        record["verification"] = {"oracle": expected, "ok": ok}
+    _emit(record, timing_ms=ms)
+    return EXIT_OK if ok else EXIT_VERIFICATION
 
 
 def _cmd_plethysm(args) -> int:
     lam = parse_partition(args.lam)
     mu = parse_partition(args.mu)
-    t0 = time.monotonic()
-    expansion = plethysm_schur(lam, mu)
-    ms = int(1000 * (time.monotonic() - t0))
+    expansion, ms = _timed(args, plethysm_schur, lam, mu)
     record = {
         "command": "plethysm",
         "inputs": {"lambda": format_partition(lam), "mu": format_partition(mu)},
         "output": {"expansion": _expansion_text(expansion)},
     }
+    ok = True
     if args.oracle:
-        oracle = plethysm_oracle(lam, mu)
-        ok = oracle == expansion
+        ok = plethysm_oracle(lam, mu) == expansion
         record["verification"] = {"ok": ok}
-        _emit(record, timing_ms=ms if args.timing else None)
-        return EXIT_OK if ok else EXIT_VERIFICATION
-    _emit(record, timing_ms=ms if args.timing else None)
-    return EXIT_OK
+    _emit(record, timing_ms=ms)
+    return EXIT_OK if ok else EXIT_VERIFICATION
 
 
 def _cmd_sequence(args) -> int:
     target = parse_skew(args.sigma)
     source = parse_skew(args.tau)
     spec = SequenceSpec(target, source, args.l, args.m, args.jmax)
-    t0 = time.monotonic()
-    report = coefficient_sequence(spec, window=args.window)
-    ms = int(1000 * (time.monotonic() - t0))
+    report, ms = _timed(args, coefficient_sequence, spec, window=args.window)
     if args.format == "csv":
         sys.stdout.write("j,value\n")
         for j, v in enumerate(report.values):
@@ -217,7 +200,7 @@ def _cmd_sequence(args) -> int:
             },
             "output": report.to_dict(),
         },
-        timing_ms=ms if args.timing else None,
+        timing_ms=ms,
     )
     return EXIT_OK
 
@@ -228,9 +211,7 @@ def _cmd_scan(args) -> int:
         m_values=_parse_int_list(args.m),
         l_values=None if args.l == "all" else _parse_int_list(args.l),
     )
-    t0 = time.monotonic()
-    report = scan(bounds, j_max=args.jmax, window=args.window)
-    ms = int(1000 * (time.monotonic() - t0))
+    report, ms = _timed(args, scan, bounds, j_max=args.jmax, window=args.window)
     for cell in report.cells:
         _emit({"command": "scan", "cell": cell.to_dict()})
     for cell in report.conjectured_family_violations:
@@ -243,7 +224,7 @@ def _cmd_scan(args) -> int:
         )
     _emit(
         {"command": "scan", "aggregate": report.to_dict()},
-        timing_ms=ms if args.timing else None,
+        timing_ms=ms,
     )
     failed = bool(report.not_stabilized) or bool(report.proven_family_violations)
     return EXIT_VERIFICATION if failed else EXIT_OK
@@ -253,17 +234,13 @@ def _verify_checks():
     """Fixed battery of cross-checks with small, deterministic bounds."""
 
     def oracle_equivalence():
-        cases = 0
         for a in range(1, 7):
             for b in range(1, 7):
                 if a * b > 6:
                     continue
                 for lam in partitions_of(a):
                     for mu in partitions_of(b):
-                        if plethysm_schur(lam, mu) != plethysm_oracle(lam, mu):
-                            return cases, False
-                        cases += 1
-        return cases, True
+                        yield plethysm_schur(lam, mu) == plethysm_oracle(lam, mu)
 
     def classical_anchors():
         anchors = [
@@ -274,42 +251,29 @@ def _verify_checks():
         ]
         for lam, mu, expected in anchors:
             got = {tuple(k): v for k, v in plethysm_schur(lam, mu).items()}
-            if got != expected:
-                return len(anchors), False
-        return len(anchors), True
+            yield got == expected
 
     def involution():
-        cases = 0
         for a in range(1, 3):
             for b in range(1, 3):
                 for lam in partitions_of(a):
                     for mu in partitions_of(b):
                         for nu in partitions_of(a * b):
                             mapped = involution_map(nu, lam, mu)
-                            if plethysm_coefficient(nu, lam, mu) != plethysm_coefficient(*mapped):
-                                return cases, False
-                            cases += 1
-        return cases, True
+                            yield plethysm_coefficient(nu, lam, mu) == plethysm_coefficient(*mapped)
 
     def lr_symmetry():
-        cases = 0
         for a in range(0, 7):
             for b in range(0, 7 - a):
                 for lam in partitions_of(a):
                     for mu in partitions_of(b):
                         for nu in partitions_of(a + b):
                             c = lr_coefficient(nu, lam, mu)
-                            if c != lr_coefficient(nu, mu, lam):
-                                return cases, False
-                            if c != lr_coefficient(
+                            yield c == lr_coefficient(nu, mu, lam) and c == lr_coefficient(
                                 conjugate(nu), conjugate(lam), conjugate(mu)
-                            ):
-                                return cases, False
-                            cases += 1
-        return cases, True
+                            )
 
     def reduction_matches_direct():
-        cases = 0
         for n in range(1, 4):
             for lam in partitions_of(n):
                 for nu in partitions_of(2 * n):
@@ -318,12 +282,11 @@ def _verify_checks():
                     try:
                         recurrence_coefficient(lam, nu, 2)
                     except VerificationError:
-                        return cases, False
-                    cases += 1
-        return cases, True
+                        yield False
+                    else:
+                        yield True
 
     def growth_identity():
-        cases = 0
         for n in range(1, 3):
             for lam in partitions_of(n):
                 for m in (1, 2):
@@ -332,31 +295,36 @@ def _verify_checks():
                             continue
                         for l in range(m + 1):
                             for j in range(3):
-                                if not verify_growth_identity(nu, lam, l, m, j).equal:
-                                    return cases, False
-                                cases += 1
-        return cases, True
+                                yield verify_growth_identity(nu, lam, l, m, j).equal
 
     return [
-        ("oracle_equivalence", oracle_equivalence),
-        ("classical_anchors", classical_anchors),
-        ("involution", involution),
-        ("lr_symmetry", lr_symmetry),
-        ("reduction_matches_direct", reduction_matches_direct),
-        ("growth_identity", growth_identity),
+        oracle_equivalence,
+        classical_anchors,
+        involution,
+        lr_symmetry,
+        reduction_matches_direct,
+        growth_identity,
     ]
+
+
+def _passed_cases(check) -> tuple[int, bool]:
+    """Cases passed before the first of ``check``'s yields that is False."""
+    cases = 0
+    for ok in check():
+        if not ok:
+            return cases, False
+        cases += 1
+    return cases, True
 
 
 def _cmd_verify(args) -> int:
     all_ok = True
-    for name, check in _verify_checks():
-        t0 = time.monotonic()
-        cases, ok = check()
-        ms = int(1000 * (time.monotonic() - t0))
+    for check in _verify_checks():
+        (cases, ok), ms = _timed(args, _passed_cases, check)
         all_ok = all_ok and ok
         _emit(
-            {"command": "verify", "check": name, "cases": cases, "ok": ok},
-            timing_ms=ms if args.timing else None,
+            {"command": "verify", "check": check.__name__, "cases": cases, "ok": ok},
+            timing_ms=ms,
         )
     _emit({"command": "verify", "summary": {"ok": all_ok}})
     return EXIT_OK if all_ok else EXIT_VERIFICATION
@@ -376,19 +344,17 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cache", type=Path, default=None, help="on-disk coefficient cache file")
     parser.add_argument("--timing", action="store_true", help="add wall_ms to records (breaks byte-identical output)")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    triple = argparse.ArgumentParser(add_help=False)
+    triple.add_argument("--nu", required=True)
+    triple.add_argument("--lambda", dest="lam", required=True)
+    triple.add_argument("--mu", required=True)
 
-    p = sub.add_parser("coeff", help="single plethysm coefficient")
-    p.add_argument("--nu", required=True)
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--mu", required=True)
+    p = sub.add_parser("coeff", parents=[triple], help="single plethysm coefficient")
     p.add_argument("--oracle", action="store_true", help="cross-check with the brute-force oracle")
-    p.set_defaults(run=_cmd_coeff)
+    p.set_defaults(run=_cmd_triple, coefficient=plethysm_coefficient)
 
-    p = sub.add_parser("lr", help="single Littlewood-Richardson coefficient")
-    p.add_argument("--nu", required=True)
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--mu", required=True)
-    p.set_defaults(run=_cmd_lr)
+    p = sub.add_parser("lr", parents=[triple], help="single Littlewood-Richardson coefficient")
+    p.set_defaults(run=_cmd_triple, coefficient=lr_coefficient, oracle=False)
 
     p = sub.add_parser("plethysm", help="full Schur expansion of a plethysm")
     p.add_argument("--lambda", dest="lam", required=True)
@@ -401,8 +367,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", required=True, help="source shape (outer[/inner])")
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--jmax", type=int, default=12)
-    p.add_argument("--window", type=int, default=5)
+    p.add_argument("--jmax", type=int, default=DEFAULT_J_MAX)
+    p.add_argument("--window", type=int, default=DEFAULT_WINDOW)
     p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     p.set_defaults(run=_cmd_sequence)
 
@@ -413,8 +379,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau-sizes", default="0,1,2,3", help="comma list of source sizes")
     p.add_argument("--m", default="2,3", help="comma list of row sizes")
     p.add_argument("--l", default="all", help="'all' or comma list")
-    p.add_argument("--jmax", type=int, default=12)
-    p.add_argument("--window", type=int, default=5)
+    p.add_argument("--jmax", type=int, default=DEFAULT_J_MAX)
+    p.add_argument("--window", type=int, default=DEFAULT_WINDOW)
     p.set_defaults(run=_cmd_scan)
 
     return parser

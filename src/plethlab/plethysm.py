@@ -72,6 +72,9 @@ def plethysm_schur(lam: Iterable[int], mu: Iterable[int]) -> dict[Partition, int
     Exact and complete; intended for desk-scale degrees (the cost grows with
     the number of partitions of ``|lam| * |mu|``). Single large coefficients
     should go through :func:`plethysm_coefficient` instead.
+
+    With both shapes empty this is the ring unit ``{(): 1}``, as in the oracle,
+    the one case where :func:`plethysm_coefficient` differs (0, by convention).
     """
     return dict(_plethysm_items(as_partition(lam), as_partition(mu)))
 

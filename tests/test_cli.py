@@ -171,3 +171,74 @@ def test_cache_write_failing_partway_leaves_the_old_store(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert cache.read_bytes() == old
     assert [p.name for p in tmp_path.iterdir()] == [cache.name]
+
+
+# ---------------------------------------------------------------------------
+# In-process runs: the oracle failure paths and where --timing adds wall_ms
+# ---------------------------------------------------------------------------
+
+
+def run_main(capsys, *args):
+    code = cli.main(list(args))
+    return code, [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+
+
+def test_coeff_oracle_mismatch_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "plethysm_oracle", lambda lam, mu: {})
+    code, (rec,) = run_main(capsys, "coeff", "--nu", "4", "--lambda", "2", "--mu", "2", "--oracle")
+    assert code == cli.EXIT_VERIFICATION
+    assert rec["output"] == 1
+    assert rec["verification"] == {"oracle": 0, "ok": False}
+
+
+def test_plethysm_oracle_mismatch_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "plethysm_oracle", lambda lam, mu: {})
+    code, (rec,) = run_main(capsys, "plethysm", "--lambda", "1,1", "--mu", "2", "--oracle")
+    assert code == cli.EXIT_VERIFICATION
+    assert rec["output"]["expansion"] == {"3,1": 1}
+    assert rec["verification"] == {"ok": False}
+
+
+def test_plethysm_without_oracle_has_no_verification(capsys):
+    code, (rec,) = run_main(capsys, "plethysm", "--lambda", "2", "--mu", "2")
+    assert code == cli.EXIT_OK
+    assert rec["output"]["expansion"] == {"2,2": 1, "4": 1}
+    assert "verification" not in rec
+
+
+def test_verify_reports_the_failing_check_and_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "plethysm_oracle", lambda lam, mu: {})
+    code, recs = run_main(capsys, "verify")
+    assert code == cli.EXIT_VERIFICATION
+    checks = {r["check"]: r for r in recs[:-1]}
+    assert checks.pop("oracle_equivalence") == {
+        "command": "verify",
+        "check": "oracle_equivalence",
+        "cases": 0,
+        "ok": False,
+        "engine": cli._ENGINE_TAG,
+    }
+    assert len(checks) == 5
+    assert all(r["ok"] and r["cases"] > 0 for r in checks.values())
+    assert recs[-1]["summary"] == {"ok": False}
+
+
+def test_verify_case_counts_and_where_timing_goes(capsys):
+    code, recs = run_main(capsys, "--timing", "verify")
+    assert code == cli.EXIT_OK
+    assert {r["check"]: r["cases"] for r in recs[:-1]} == {
+        "oracle_equivalence": 73,
+        "classical_anchors": 4,
+        "involution": 29,
+        "lr_symmetry": 1110,
+        "reduction_matches_direct": 28,
+        "growth_identity": 123,
+    }
+    assert [isinstance(r.get("wall_ms"), int) for r in recs] == [True] * 6 + [False]
+    code, recs = run_main(
+        capsys, "--timing", "scan", "--tau-sizes", "0", "--m", "2", "--jmax", "5", "--window", "3"
+    )
+    assert code == cli.EXIT_OK
+    assert any("warning" in r for r in recs)
+    assert "aggregate" in recs[-1] and isinstance(recs[-1]["wall_ms"], int)
+    assert all("wall_ms" not in r for r in recs[:-1])

@@ -235,6 +235,26 @@ def test_dispatcher_falls_back_to_character_pairing(monkeypatch, nu, lam, mu):
     assert calls == [(P(nu), P(lam), P(mu))]
 
 
+def test_coefficient_matches_expansion_on_every_small_triple():
+    # empty shapes included; (empty, empty, empty) is the one exception: the
+    # coefficient follows the empty-inner-shape convention (0), while the
+    # full expansion and the oracle give the ring unit
+    for a in range(7):
+        for b in range(7):
+            if a * b > 6:
+                continue
+            for lam in partitions_of(a):
+                for mu in partitions_of(b):
+                    full = plethysm_schur(lam, mu)
+                    if not lam or not mu:
+                        assert plethysm_oracle(lam, mu) == full
+                    for nu in partitions_of(a * b):
+                        want = 0 if a == b == 0 else full.get(nu, 0)
+                        assert plethysm_coefficient(nu, lam, mu) == want
+    assert plethysm_schur(P(()), P(())) == plethysm_oracle(P(()), P(())) == {P(()): 1}
+    assert plethysm_coefficient(P(()), P(()), P(())) == 0
+
+
 def test_involution_map_examples():
     assert involution_map(P((3, 1)), P((1, 1)), P((2,))) == (
         P((2, 1, 1)),
@@ -261,6 +281,24 @@ def test_coefficients_invariant_under_involution():
                         assert plethysm_coefficient(nu, lam, mu) == plethysm_coefficient(
                             *mapped
                         )
+
+
+@st.composite
+def involution_triple(draw):
+    """(nu, lam, (m)) of degree 16..21 with at most |lam| rows in nu."""
+    m, n = draw(st.sampled_from([(2, 8), (2, 9), (2, 10), (3, 6), (3, 7)]))
+    lam = draw(st.sampled_from(list(partitions_of(n))))
+    nu = draw(st.sampled_from([nu for nu in partitions_of(n * m) if len(nu) <= n]))
+    return nu, lam, P((m,))
+
+
+@given(involution_triple())
+@settings(max_examples=12, deadline=None)
+def test_involution_across_routes(triple):
+    # the left side takes the row route (closed forms at m = 2, tables at
+    # m = 3); the mirrored side has a one-column inner shape, so it is
+    # answered by character pairing
+    assert plethysm_coefficient(*triple) == plethysm_coefficient(*involution_map(*triple))
 
 
 def test_skew_coefficient_example():

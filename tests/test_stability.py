@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from plethlab import (
+    GrowthIdentityReport,
     Partition,
     ScanBounds,
     SequenceSpec,
@@ -221,6 +222,13 @@ def test_growth_identity_examples():
     assert verify_growth_identity(P((4,)), P((2,)), 2, 1, 1).equal
     vac = verify_growth_identity(P((3,)), P((2,)), 1, 1, 1)
     assert vac.vacuous and vac.equal and "vacuous" in vac.note
+
+
+def test_growth_identity_report_truth_is_equality():
+    assert not GrowthIdentityReport(1, 2, False, False)
+    assert GrowthIdentityReport(3, 3, True, False)
+    vac = verify_growth_identity(P((3,)), P((2,)), 1, 1, 1)
+    assert vac.vacuous and vac
 
 
 def test_growth_identity_small_sweep():
