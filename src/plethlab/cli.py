@@ -7,6 +7,10 @@ identical output. ``--format csv`` is available for sequence values only.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 
+``coeff --oracle`` compares the coefficient with the brute-force oracle.
+Its ``"oracle": null`` means that no comparison was made: the triple of three
+empty shapes is the one documented place where the two conventions differ.
+
 ``verify`` emits one record per check of its fixed battery, with the number
 of cases that passed before the check's first failure (all of its cases when
 it passes), then a summary record.
@@ -153,7 +157,7 @@ def _cmd_triple(args) -> int:
     }
     ok = True
     if args.oracle:
-        expected = plethysm_oracle(lam, mu).get(nu, 0) if lam.size * mu.size else None
+        expected = plethysm_oracle(lam, mu).get(nu, 0) if lam or mu else None
         ok = expected is None or expected == value
         record["verification"] = {"oracle": expected, "ok": ok}
     _emit(record, timing_ms=ms)

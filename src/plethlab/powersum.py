@@ -39,12 +39,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _within(shape: Partition, cap: tuple[int, ...]) -> bool:
-    if len(shape) > len(cap):
-        return False
-    return all(shape[i] <= cap[i] for i in range(len(shape)))
-
-
 @cache
 def _strip_additions(
     shape: Partition, k: int, cap: tuple[int, ...]
@@ -59,10 +53,11 @@ def _strip_additions(
     be formed. Moving the beta number of row i up by k to a free slot lands
     it in row p, shifts rows p..i-1 down by one row (each gains a box) and
     has sign (-1)^(i-p). A move is rejected before its shape is built when
-    the new part at p or a shifted row would exceed its cap. Nothing is
-    added to a shape outside the cap.
+    the new part at p or a shifted row would exceed its cap. The shape must
+    lie inside the cap, as every caller's does (full expansions fill the n×n
+    box, row tables restart from s_∅), so only its row count is checked.
     """
-    if not _within(shape, cap):
+    if len(shape) > len(cap):
         return ()
     n, length = len(cap), len(shape)
     parts = list(shape) + [0] * (n - length)

@@ -38,18 +38,18 @@ a slower general method.
 from __future__ import annotations
 
 from collections import defaultdict
-from math import factorial
+from functools import cache
 from typing import Iterable
 
 from .lr import _jacobi_trudi_terms, dual_pieri_expansion
-from .partitions import ExactnessError, Partition, as_partition, conjugate
+from .partitions import Partition, as_partition, conjugate, contains
 from .powersum import (
     _exact_quotients,
     _horner,
     _plethysm_items,
+    _scaled_to_integers,
     _strip_additions,  # noqa: F401  perfbench/layers.py reads the kernel's cache here
     _trie,
-    _within,
     schur_to_powersum,
 )
 
@@ -87,26 +87,19 @@ class _RowTables:
     its coefficient in the composition of (h_a or e_a) with the one-row
     shape. Table a is built from tables a-1, ..., 0 by Newton's identity:
     for each r, :func:`_horner` multiplies table a-r by the composed power
-    sums p_(r·κ) over a trie, restricted to the cap. The weights 1/z_κ of
-    the row shape are kept scaled by m! as integers; each entry is divided
-    by m!·a once, and a remainder raises :class:`ExactnessError`.
+    sums p_(r·κ) over a trie, restricted to the cap. :func:`_scaled_to_integers`
+    scales the weights 1/z_κ of the row shape by their common denominator m!;
+    :func:`_exact_quotients` divides each entry by m!·a once and raises on a remainder.
     Coefficients inside the envelope are exact; growing the envelope resets
     the tables, so callers should warm it with every target shape they will
     query (see :func:`warm_tables`).
     """
 
     def __init__(self, m: int):
-        self.m = m
-        self.cap: tuple[int, ...] = ()
+        self.cap = Partition()
         self._targets: tuple[int, ...] = ()  # row-wise union of the target shapes
-        self._scale = factorial(m)
-        weights = []
-        for kappa, zinv in schur_to_powersum(Partition((m,))).items():
-            scaled = zinv * self._scale
-            if scaled.denominator != 1:
-                raise ExactnessError(f"{m}!/z_{kappa} = {scaled} is not integral")
-            weights.append((kappa, scaled.numerator))
-        self._row_pexp = tuple(weights)
+        self._scale, weights = _scaled_to_integers(schur_to_powersum(Partition((m,))))
+        self._row_pexp = tuple(weights.items())
         self._reset()
 
     def _reset(self) -> None:
@@ -127,7 +120,7 @@ class _RowTables:
             cap[0] += 2  # mild slack against near-miss rebuilds
             cap.append(min(cap[-1], 1))
         self._targets = targets
-        self.cap = tuple(cap)
+        self.cap = Partition(cap)
         self._reset()
 
     def ensure(self, kind: str, a: int) -> None:
@@ -147,17 +140,16 @@ class _RowTables:
             tabs.append(_exact_quotients(acc, self._scale * b))
 
 
-_tables: dict[int, _RowTables] = {}
+_tables_for = cache(_RowTables)
+reset_tables = _tables_for.cache_clear
 
 
-def _tables_for(m: int) -> _RowTables:
-    if m not in _tables:
-        _tables[m] = _RowTables(m)
-    return _tables[m]
-
-
-def reset_tables() -> None:
-    _tables.clear()
+def _tables_covering(shapes: list[Partition], m: int) -> _RowTables:
+    """The tables for m, their envelope grown first if it misses a shape."""
+    tables = _tables_for(m)
+    if not all(contains(tables.cap, s) for s in shapes):
+        tables.extend_cap(shapes)
+    return tables
 
 
 def warm_tables(nus: Iterable[Iterable[int]], m: int) -> None:
@@ -166,12 +158,8 @@ def warm_tables(nus: Iterable[Iterable[int]], m: int) -> None:
     Purely a performance hint: queries outside the envelope grow it on the
     fly, at the cost of a table rebuild per growth.
     """
-    if m <= 2:
-        return
-    shapes = [as_partition(nu) for nu in nus]
-    tables = _tables_for(m)
-    if any(not _within(s, tables.cap) for s in shapes):
-        tables.extend_cap(shapes)
+    if m > 2:
+        _tables_covering([as_partition(nu) for nu in nus], m)
 
 
 def row_coefficient(nu: Partition, lam: Partition, m: int) -> int | None:
@@ -201,9 +189,7 @@ def row_coefficient(nu: Partition, lam: Partition, m: int) -> int | None:
             return sum(c for rho, c in level.items() if predicate(rho))
 
     else:
-        tables = _tables_for(m)
-        if not _within(nu, tables.cap):
-            tables.extend_cap([nu])
+        tables = _tables_covering([nu], m)
 
         def pair(big: int, level: dict[Partition, int]) -> int:
             tables.ensure(kind, big)

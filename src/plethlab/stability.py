@@ -318,12 +318,19 @@ class ScanBounds:
     For every m, every source partition whose size lies in ``tau_sizes``,
     every target partition of m times that size, and every l (all of
     0..m unless ``l_values`` is given), the scan materializes one growth
-    sequence.
+    sequence. A given l that lies outside 0..m for every m raises
+    ValueError.
     """
 
     tau_sizes: tuple[int, ...] = ()
     m_values: tuple[int, ...] = ()
     l_values: tuple[int, ...] | None = None
+
+    def __post_init__(self):
+        top = max(self.m_values, default=0)
+        for l in self.l_values or ():
+            if not 0 <= l <= top:
+                raise ValueError(f"l={l} lies outside 0..m for every m in {self.m_values}")
 
     def cells(self) -> Iterator[tuple[Partition, Partition, int, int]]:
         for m in sorted(set(self.m_values)):

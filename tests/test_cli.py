@@ -191,6 +191,37 @@ def test_coeff_oracle_mismatch_exits_1(monkeypatch, capsys):
     assert rec["verification"] == {"oracle": 0, "ok": False}
 
 
+def test_coeff_oracle_compares_empty_shapes(monkeypatch, capsys):
+    # nu|lambda|mu triples with an empty shape, and what the oracle says
+    for lam, mu, expected in (("2", "0", 1), ("0", "2", 1), ("2,1", "0", 0)):
+        code, (rec,) = run_main(capsys, "coeff", "--nu", "0", "--lambda", lam, "--mu", mu, "--oracle")
+        assert code == cli.EXIT_OK
+        assert rec["output"] == expected
+        assert rec["verification"] == {"oracle": expected, "ok": True}
+    # three empty shapes: the documented convention gap, no comparison made
+    code, (rec,) = run_main(capsys, "coeff", "--nu", "0", "--lambda", "0", "--mu", "0", "--oracle")
+    assert code == cli.EXIT_OK
+    assert rec["verification"] == {"oracle": None, "ok": True}
+    monkeypatch.setattr(cli, "plethysm_oracle", lambda lam, mu: {})
+    code, (rec,) = run_main(capsys, "coeff", "--nu", "0", "--lambda", "2", "--mu", "0", "--oracle")
+    assert code == cli.EXIT_VERIFICATION
+    assert rec["verification"] == {"oracle": 0, "ok": False}
+
+
+def test_scan_l_that_fits_no_m_is_a_usage_error(capsys):
+    assert cli.main(["scan", "--m", "2", "--tau-sizes", "1", "--l", "5"]) == cli.EXIT_USAGE
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "l=5" in out.err
+    # l = 3 fits m = 3, so the scan runs that row size alone
+    code, recs = run_main(
+        capsys, "scan", "--m", "2,3", "--tau-sizes", "1", "--l", "3", "--jmax", "6", "--window", "3"
+    )
+    assert code == cli.EXIT_OK
+    assert [(r["cell"]["l"], r["cell"]["m"]) for r in recs[:-1]] == [(3, 3)] * 3
+    assert recs[-1]["aggregate"]["cells"] == 3
+
+
 def test_plethysm_oracle_mismatch_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(cli, "plethysm_oracle", lambda lam, mu: {})
     code, (rec,) = run_main(capsys, "plethysm", "--lambda", "1,1", "--mu", "2", "--oracle")

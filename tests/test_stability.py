@@ -254,6 +254,14 @@ def test_scan_empty_bounds():
     assert report.to_dict()["cells"] == 0
 
 
+def test_scan_bounds_reject_an_l_that_fits_no_m():
+    for l in (5, -1):
+        with pytest.raises(ValueError, match=f"l={l}"):
+            ScanBounds(tau_sizes=(1,), m_values=(2,), l_values=(l,))
+    bounds = ScanBounds(tau_sizes=(1,), m_values=(2, 3), l_values=(3,))
+    assert {(l, m) for _, _, l, m in bounds.cells()} == {(3, 3)}
+
+
 def test_scan_small_and_deterministic():
     bounds = ScanBounds(tau_sizes=(0, 1, 2), m_values=(2,))
     r1 = scan(bounds, j_max=6, window=3)
