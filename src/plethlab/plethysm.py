@@ -5,10 +5,11 @@ expansions are computed exactly and cached.
 
 An independent brute-force route (:func:`plethysm_oracle`) expands Schur
 polynomials into monomials, substitutes the monomial multiset of the inner
-function into the outer one, and decomposes the result by repeatedly
-subtracting the Schur polynomial of the lexicographically leading exponent.
-It shares no code with the power-sum route and exists as a correctness
-witness; the test suite compares the two everywhere both are feasible.
+function into the outer one, checks that the result is symmetric, and
+decomposes it on its dominant exponent vectors: the lexicographically
+leading one is peeled off with its Kostka numbers, repeatedly. It shares no
+code with the power-sum route and exists as a correctness witness; the test
+suite compares the two everywhere both are feasible.
 
 Single coefficients are answered by the cheapest sound route: small products
 use the cached full expansion; large coefficients against a one-row inner
@@ -20,8 +21,10 @@ expansion.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from functools import cache
+from itertools import product
+from math import factorial, prod
 from typing import Callable, Iterable, MutableMapping
 
 from .lr import dual_pieri_expansion
@@ -92,38 +95,48 @@ def _substitute_schur(
     Enumerates column-strict tableaux of the shape with entries indexing
     ``vectors`` and accumulates the componentwise sums of the chosen
     vectors. With unit vectors this is the Schur polynomial itself.
+
+    Exponent vectors are summed as integers in base ``base``: no coordinate
+    of a sum of ``|shape|`` vectors reaches it, so digits never carry.
     """
-    out: defaultdict[tuple[int, ...], int] = defaultdict(int)
     if not shape:
-        out[(0,) * nvars] = 1
-        return dict(out)
+        return {(0,) * nvars: 1}
     n = len(vectors)
     if n == 0:
         return {}
+    base = shape.size * max(map(max, vectors)) + 1
+    codes = [0]
+    for vec in vectors:
+        code = 0
+        for e in vec:
+            code = code * base + e
+        codes.append(code)
     rows = len(shape)
     grid = [[0] * shape[r] for r in range(rows)]
-    acc = [0] * nvars
+    counts: defaultdict[int, int] = defaultdict(int)
 
-    def place(r: int, c: int) -> None:
-        if r == rows:
-            out[tuple(acc)] += 1
-            return
+    def place(r: int, c: int, acc: int) -> None:
         nr, nc = (r, c + 1) if c + 1 < shape[r] else (r + 1, 0)
         lo = grid[r][c - 1] if c > 0 else 1
         if r > 0 and c < shape[r - 1]:
             lo = max(lo, grid[r - 1][c] + 1)
+        if nr == rows:
+            for v in range(lo, n + 1):
+                counts[acc + codes[v]] += 1
+            return
+        row = grid[r]
         for v in range(lo, n + 1):
-            grid[r][c] = v
-            vec = vectors[v - 1]
-            for i in range(nvars):
-                acc[i] += vec[i]
-            place(nr, nc)
-            for i in range(nvars):
-                acc[i] -= vec[i]
-        grid[r][c] = 0
+            row[c] = v
+            place(nr, nc, acc + codes[v])
 
-    place(0, 0)
-    return dict(out)
+    place(0, 0, 0)
+    out: dict[tuple[int, ...], int] = {}
+    for code, count in counts.items():
+        vec = [0] * nvars
+        for i in range(nvars - 1, -1, -1):
+            code, vec[i] = divmod(code, base)
+        out[tuple(vec)] = count
+    return out
 
 
 def _unit_vectors(nvars: int) -> tuple[tuple[int, ...], ...]:
@@ -138,6 +151,29 @@ def _schur_polynomial(shape: Partition, nvars: int) -> tuple[tuple[tuple[int, ..
     return tuple(sorted(poly.items()))
 
 
+@cache
+def _kostka(nu: tuple[int, ...], weight: tuple[int, ...]) -> int:
+    """Kostka number: semistandard tableaux of shape ``nu`` and content
+    ``weight`` (positive parts of equal total).
+
+    The entries equal to ``len(weight)`` fill a horizontal strip nu/kappa of
+    size ``weight[-1]``, that is a kappa interlacing nu
+    (``nu[i+1] <= kappa[i] <= nu[i]``); the count recurses on each such
+    kappa with the smaller weight.
+    """
+    if len(nu) > len(weight):
+        return 0
+    if not weight:
+        return 1
+    rest = weight[:-1]
+    interlacing = (range(below, part + 1) for below, part in zip(nu[1:] + (0,), nu))
+    return sum(
+        _kostka(tuple(k for k in kappa if k), rest)
+        for kappa in product(*interlacing)
+        if sum(kappa) == sum(rest)
+    )
+
+
 def plethysm_oracle(
     lam: Iterable[int], mu: Iterable[int], nvars: int | None = None
 ) -> dict[Partition, int]:
@@ -145,15 +181,28 @@ def plethysm_oracle(
 
     The inner Schur function is expanded into its monomials in ``nvars``
     variables (listed with multiplicity); the outer Schur function is then
-    evaluated at that monomial multiset, and the resulting symmetric
-    polynomial is decomposed by repeatedly subtracting the Schur polynomial
-    of its lexicographically leading exponent vector.
+    evaluated at that monomial multiset. The resulting polynomial is
+    symmetric, which is checked explicitly (:class:`ExactnessError`
+    otherwise): every rearrangement of an exponent vector must occur, with
+    the coefficient of the sorted one. Only its dominant (weakly decreasing)
+    exponent vectors are kept, and the polynomial is decomposed by
+    repeatedly taking the lexicographically leading one, nu, and subtracting
+    its coefficient times the Kostka number K(nu, alpha) at each remaining
+    dominant alpha; K(nu, alpha) is the coefficient of x^alpha in the Schur
+    polynomial of nu. A plethysm of Schur functions is Schur positive, so
+    every alpha with K(nu, alpha) > 0 is still present when nu is peeled.
 
-    ``nvars`` defaults to ``|lam| * |mu|``; fewer variables would silently
-    truncate partitions with many rows, so smaller values are rejected.
+    ``nvars`` defaults to ``|lam| * len(mu)``, and smaller values are
+    rejected. That many variables lose nothing: the plethysm is a
+    constituent of the ``|lam|``-th power of the Schur function of mu, and by
+    the Littlewood-Richardson rule every constituent of that product has at
+    most ``|lam| * len(mu)`` rows. Setting the remaining variables to 0 is a
+    ring map that kills exactly the Schur functions with more rows, and none
+    occurs. Fewer variables would silently truncate partitions with many
+    rows.
     """
     lam, mu = as_partition(lam), as_partition(mu)
-    needed = max(1, lam.size * mu.size)
+    needed = max(1, lam.size * len(mu))
     if nvars is None:
         nvars = needed
     if nvars < needed:
@@ -161,22 +210,36 @@ def plethysm_oracle(
     monomials: list[tuple[int, ...]] = []
     for vec, mult in _schur_polynomial(mu, nvars):
         monomials.extend([vec] * mult)
-    poly = dict(_substitute_schur(lam, tuple(monomials), nvars))
+    poly = _substitute_schur(lam, tuple(monomials), nvars)
+    orbit_members: defaultdict[tuple[int, ...], int] = defaultdict(int)
+    for vec, coeff in poly.items():
+        alpha = tuple(sorted(vec, reverse=True))
+        if poly.get(alpha) != coeff:
+            raise ExactnessError(
+                f"substituted polynomial is not symmetric: {coeff} at {vec}, "
+                f"{poly.get(alpha, 0)} at {alpha}"
+            )
+        orbit_members[alpha] += 1
+    dominant: dict[tuple[int, ...], int] = {}
+    for alpha, members in orbit_members.items():
+        orbit = factorial(nvars) // prod(map(factorial, Counter(alpha).values()))
+        if members != orbit:
+            raise ExactnessError(
+                f"substituted polynomial is not symmetric: {members} of the "
+                f"{orbit} rearrangements of {alpha} occur"
+            )
+        dominant[tuple(p for p in alpha if p)] = poly[alpha]
     result: dict[Partition, int] = {}
-    while poly:
-        lead = max(poly)
-        coeff = poly[lead]
-        streak = list(lead)
-        while streak and streak[-1] == 0:
-            streak.pop()
-        nu = Partition(streak)
-        for vec, mult in _schur_polynomial(nu, nvars):
-            value = poly.get(vec, 0) - coeff * mult
+    while dominant:
+        nu = max(dominant)
+        coeff = dominant[nu]
+        for alpha in list(dominant):
+            value = dominant[alpha] - coeff * _kostka(nu, alpha)
             if value:
-                poly[vec] = value
+                dominant[alpha] = value
             else:
-                poly.pop(vec, None)
-        result[nu] = coeff
+                del dominant[alpha]
+        result[Partition(nu)] = coeff
     return result
 
 

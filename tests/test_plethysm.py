@@ -144,7 +144,134 @@ def test_oracle_examples():
 
 def test_oracle_rejects_too_few_variables():
     with pytest.raises(ValueError):
-        plethysm_oracle(P((2,)), P((2,)), nvars=3)
+        plethysm_oracle(P((2,)), P((2,)), nvars=1)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_oracle_variable_floor_is_tight_for_elementary_functions(n):
+    # e_n = s_(1^n) o s_1 has n rows, and |lam| * len(mu) = n
+    e_n = {P((1,) * n): 1}
+    assert plethysm_oracle((1,) * n, (1,)) == plethysm_oracle((1,) * n, (1,), nvars=n) == e_n
+    with pytest.raises(ValueError):
+        plethysm_oracle((1,) * n, (1,), nvars=n - 1)
+
+
+def test_oracle_default_variables_match_the_degree_many():
+    # |lam| * len(mu) variables lose no constituent that |lam| * |mu| see
+    for a in range(1, 7):
+        for b in range(1, 6 // a + 1):
+            for lam in partitions_of(a):
+                for mu in partitions_of(b):
+                    assert plethysm_oracle(lam, mu) == plethysm_oracle(lam, mu, nvars=a * b)
+
+
+def test_kostka_numbers_are_schur_polynomial_coefficients():
+    for n in range(8):
+        shapes = list(partitions_of(n))
+        for nu in shapes:
+            poly = dict(pl._schur_polynomial(nu, n))
+            for alpha in shapes:
+                vec = tuple(alpha) + (0,) * (n - len(alpha))
+                assert pl._kostka(tuple(nu), tuple(alpha)) == poly.get(vec, 0), (nu, alpha)
+
+
+def _corrupt_outer_substitution(how):
+    """A stand-in for ``_substitute_schur`` that breaks the symmetry of the
+    outer substitution at its lexicographically smallest non-dominant
+    monomial, by dropping it or by adding 1 to its coefficient."""
+    real = pl._substitute_schur
+
+    def substitute(shape, vectors, nvars):
+        poly = real(shape, vectors, nvars)
+        if vectors != pl._unit_vectors(nvars):
+            vec = min(v for v in poly if list(v) != sorted(v, reverse=True))
+            if how == "drop":
+                del poly[vec]
+            else:
+                poly[vec] += 1
+        return poly
+
+    return substitute
+
+
+@pytest.mark.parametrize("how", ["drop", "bump"])
+def test_oracle_rejects_a_non_symmetric_substitution(monkeypatch, how):
+    monkeypatch.setattr(pl, "_substitute_schur", _corrupt_outer_substitution(how))
+    with pytest.raises(ExactnessError, match="not symmetric"):
+        plethysm_oracle(P((2,)), P((2,)))
+
+
+_NON_SYMMETRIC_SUBSTITUTION = """
+import sys
+
+from plethlab import ExactnessError, Partition
+from plethlab import plethysm as pl
+from test_plethysm import _corrupt_outer_substitution
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+
+for how in ("drop", "bump"):
+    pl._substitute_schur = _corrupt_outer_substitution(how)
+    try:
+        pl.plethysm_oracle(Partition((2,)), Partition((2,)))
+    except ExactnessError:
+        pass
+    else:
+        sys.exit(f"a non-symmetric substitution ({how}) was not detected")
+"""
+
+
+def test_oracle_symmetry_check_fires_under_python_O():
+    src = str(Path(plethlab.__file__).resolve().parents[1])
+    here = str(Path(__file__).resolve().parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, here, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _NON_SYMMETRIC_SUBSTITUTION],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+_ORACLE_FUNCTIONS = {
+    "plethysm_oracle",
+    "_substitute_schur",
+    "_schur_polynomial",
+    "_unit_vectors",
+    "_kostka",
+}
+
+
+def test_oracle_shares_no_code_with_the_other_routes():
+    # the oracle is a witness for the power-sum, LR and row-table routes, so
+    # none of its functions may use a name imported from them
+    path = Path(pl.__file__)
+    tree = ast.parse(path.read_text(), filename=str(path))
+    routes = {"powersum", "lr", "row_plethysm"}
+    foreign = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module in routes or (node.module is None and alias.name in routes):
+                    foreign.add(alias.asname or alias.name)
+    assert {"dual_pieri_expansion", "powersum_to_schur", "row_coefficient"} <= foreign
+    functions = {
+        node.name: node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name in _ORACLE_FUNCTIONS
+    }
+    assert set(functions) == _ORACLE_FUNCTIONS
+    used = sorted(
+        f"{name} loads {node.id}"
+        for name, function in functions.items()
+        for node in ast.walk(function)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in foreign
+    )
+    assert not used, used
 
 
 def test_oracle_extra_variables_are_harmless():
