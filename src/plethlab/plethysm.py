@@ -211,7 +211,8 @@ def plethysm_oracle(
     for vec, mult in _schur_polynomial(mu, nvars):
         monomials.extend([vec] * mult)
     poly = _substitute_schur(lam, tuple(monomials), nvars)
-    orbit_members: defaultdict[tuple[int, ...], int] = defaultdict(int)
+    dominant: dict[tuple[int, ...], int] = {}
+    rearrangements = 0
     for vec, coeff in poly.items():
         alpha = tuple(sorted(vec, reverse=True))
         if poly.get(alpha) != coeff:
@@ -219,16 +220,14 @@ def plethysm_oracle(
                 f"substituted polynomial is not symmetric: {coeff} at {vec}, "
                 f"{poly.get(alpha, 0)} at {alpha}"
             )
-        orbit_members[alpha] += 1
-    dominant: dict[tuple[int, ...], int] = {}
-    for alpha, members in orbit_members.items():
-        orbit = factorial(nvars) // prod(map(factorial, Counter(alpha).values()))
-        if members != orbit:
-            raise ExactnessError(
-                f"substituted polynomial is not symmetric: {members} of the "
-                f"{orbit} rearrangements of {alpha} occur"
-            )
-        dominant[tuple(p for p in alpha if p)] = poly[alpha]
+        if vec == alpha:
+            dominant[tuple(p for p in vec if p)] = coeff
+            rearrangements += factorial(nvars) // prod(map(factorial, Counter(vec).values()))
+    if rearrangements != len(poly):
+        raise ExactnessError(
+            f"substituted polynomial is not symmetric: {len(poly)} monomials, "
+            f"but its dominant ones have {rearrangements} rearrangements"
+        )
     result: dict[Partition, int] = {}
     while dominant:
         nu = max(dominant)
