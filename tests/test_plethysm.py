@@ -156,7 +156,7 @@ def test_oracle_variable_floor_is_tight_for_elementary_functions(n):
         plethysm_oracle((1,) * n, (1,), nvars=n - 1)
 
 
-def test_oracle_default_variables_match_the_degree_many():
+def test_oracle_default_variables_lose_nothing():
     # |lam| * len(mu) variables lose no constituent that |lam| * |mu| see
     for a in range(1, 7):
         for b in range(1, 6 // a + 1):
