@@ -35,6 +35,7 @@ from .partitions import (
     as_skew,
     conjugate,
     contains,
+    partitions_between,
 )
 
 __all__ = [
@@ -234,25 +235,12 @@ def skew_schur_expansion(s: SkewShape) -> dict[Partition, int]:
 
 @cache
 def _hstrip_removals(shape: Partition, k: int) -> tuple[Partition, ...]:
-    """Partitions obtained by removing a horizontal strip of k boxes."""
-    n = len(shape)
-    out: list[Partition] = []
-    cur: list[int] = []
-
-    def rec(i: int, rem: int) -> None:
-        if i == n:
-            if rem == 0:
-                out.append(Partition(cur))
-            return
-        below = shape[i + 1] if i + 1 < n else 0
-        lo = max(below, shape[i] - rem)
-        for v in range(shape[i], lo - 1, -1):
-            cur.append(v)
-            rec(i + 1, rem - (shape[i] - v))
-            cur.pop()
-
-    rec(0, k)
-    return tuple(out)
+    """Partitions obtained by removing a horizontal strip of k boxes: those
+    of |shape| - k boxes between shape without its first row and shape
+    itself, which are the ones interlacing shape."""
+    if k > shape.size:
+        return ()
+    return tuple(partitions_between(shape[1:], shape, shape.size - k))
 
 
 @cache

@@ -30,6 +30,7 @@ __all__ = [
     "contains",
     "dominates",
     "partitions_of",
+    "partitions_between",
     "parse_partition",
     "parse_skew",
     "format_partition",
@@ -238,30 +239,67 @@ def partitions_of(n: int) -> Iterator[Partition]:
     """All partitions of n, exactly once, in reverse-lexicographic order.
 
     The order starts at ``(n)`` and ends at ``(1, ..., 1)``; it is
-    deterministic, so reports built by iterating it are reproducible.
+    deterministic, so reports built by iterating it are reproducible. This
+    is :func:`partitions_between` from the empty shape to the n-by-n square.
+    """
+    return partitions_between((), (n,) * n, n)
+
+
+def partitions_between(
+    lo: Iterable[int], hi: Iterable[int], n: int
+) -> Iterator[Partition]:
+    """The partitions of n that contain lo and lie inside hi, each exactly
+    once, in the reverse-lexicographic order of :func:`partitions_of`.
+
+    Empty when lo is not inside hi or n lies outside [|lo|, |hi|]. The walk
+    has no dead end: the partitions between two nested shapes take every
+    size in between (Young's lattice is graded), so a part p fits in row i
+    exactly when lo's lower rows still fit in what is left and rows i.. of
+    hi, cut to width p, can hold all that remains.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    if n == 0:
-        yield _EMPTY
+    lo, hi = as_partition(lo), as_partition(hi)
+    if not contains(hi, lo) or not sum(lo) <= n <= sum(hi):
         return
-    parts = [n]
+    rows = len(hi)
+    lo = lo + (0,) * (rows - len(lo))
+    # tail[i]: boxes of lo in rows i..; room[i][w]: boxes of hi in rows i..
+    # cut to width w <= hi[i]
+    tail = [0] * (rows + 1)
+    room: list[list[int]] = [[]] * rows
+    below = [0]
+    for i in range(rows - 1, -1, -1):
+        tail[i] = tail[i + 1] + lo[i]
+        below = below + [below[-1]] * (hi[i] + 1 - len(below))
+        below = room[i] = [w + b for w, b in enumerate(below)]
+    parts: list[int] = []
+    i, prev, rem = 0, n, n
     while True:
-        yield Partition(parts)
-        # decrement the rightmost part larger than 1, redistribute the rest
-        i = len(parts) - 1
-        while i >= 0 and parts[i] == 1:
+        # fill rows i.. with the largest parts that leave a completion
+        while rem:
+            p = min(prev, hi[i], rem - tail[i + 1])
+            parts.append(p)
+            rem -= p
+            prev = p
+            i += 1
+        yield tuple.__new__(Partition, parts)
+        # shrink the lowest row that can lose a box
+        i = len(parts)
+        while True:
             i -= 1
-        if i < 0:
-            return
-        parts[i] -= 1
-        rem = len(parts) - i  # the ones removed plus the decremented box
-        cap = parts[i]
-        del parts[i + 1:]
-        while rem > 0:
-            t = min(cap, rem)
-            parts.append(t)
-            rem -= t
+            if i < 0:
+                return
+            p = parts[i]
+            rem += p
+            if p > lo[i] and room[i][p - 1] >= rem:
+                break
+        del parts[i:]
+        p -= 1
+        parts.append(p)
+        rem -= p
+        prev = p
+        i += 1
 
 
 def parse_partition(text: str) -> Partition:

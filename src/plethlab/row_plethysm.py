@@ -42,7 +42,7 @@ from functools import cache
 from typing import Iterable
 
 from .lr import _jacobi_trudi_terms, dual_pieri_expansion
-from .partitions import Partition, as_partition, conjugate, contains
+from .partitions import Partition, as_partition, contains
 from .powersum import (
     _exact_quotients,
     _horner,
@@ -67,15 +67,19 @@ def _all_even_rows(p: Partition) -> bool:
 
 
 def _arm_excess_one(p: Partition) -> bool:
-    """True iff every Frobenius arm is exactly one longer than its leg."""
+    """True iff every Frobenius arm is exactly one longer than its leg.
+
+    Read off the rows alone: along the diagonal (p_i >= i+1) the i-th column
+    has #{j : p_j >= i+1} boxes, and the condition is p_i = that + 1."""
     if not p:
         return False
-    cols = conjugate(p)
-    d = 0
-    while d < len(p) and p[d] >= d + 1:
-        d += 1
-    for i in range(d):
-        if p[i] - (i + 1) != cols[i] - (i + 1) + 1:
+    rows = len(p)
+    for i, part in enumerate(p):
+        if part <= i:
+            break
+        while p[rows - 1] <= i:
+            rows -= 1
+        if part != rows + 1:
             return False
     return True
 

@@ -38,6 +38,7 @@ from .partitions import (
     grow_line,
     grow_skew_arm_legs,
     grow_skew_line,
+    partitions_between,
     partitions_of,
     remove_first_column,
 )
@@ -198,7 +199,11 @@ def _deep_coefficient(nu: Partition, lam: Partition, mu: Partition) -> int:
 def _alternating_sum(nu: Partition, lam: Partition, r: int, skew) -> int:
     """Sum over i <= k = |lam| - len(nu), beta |- i and alpha |- k + r*i of
     (-1)^(k+i) skew(alpha/(k-i), beta', (r+1)) skew(nu^/alpha, lam'/beta, (r)),
-    where nu^ is nu without its first column and (s) the row of size s."""
+    where nu^ is nu without its first column and (s) the row of size s.
+
+    A skew shape whose inner part is not contained is the zero function, so
+    only (k-i) <= alpha <= nu^ and beta <= lam' contribute; the walk visits
+    those alone, with the alphas listed once per i."""
     upper, lower = Partition((r + 1,)), Partition((r,))
     k = lam.size - len(nu)
     nu_hat = remove_first_column(nu)
@@ -207,10 +212,13 @@ def _alternating_sum(nu: Partition, lam: Partition, r: int, skew) -> int:
     for i in range(k + 1):
         sign = -1 if (k + i) % 2 else 1
         inner_row = Partition((k - i,))
-        for beta in partitions_of(i):
+        alphas = list(partitions_between(inner_row, nu_hat, k + r * i))
+        if not alphas:
+            continue
+        for beta in partitions_between((), lam_conj, i):
             source_first = SkewShape.straight(conjugate(beta))
             source_second = SkewShape(lam_conj, beta)
-            for alpha in partitions_of(k + r * i):
+            for alpha in alphas:
                 first = skew(SkewShape(alpha, inner_row), source_first, upper)
                 if not first:
                     continue
@@ -318,8 +326,8 @@ class ScanBounds:
     For every m, every source partition whose size lies in ``tau_sizes``,
     every target partition of m times that size, and every l (all of
     0..m unless ``l_values`` is given), the scan materializes one growth
-    sequence. A given l that lies outside 0..m for every m raises
-    ValueError.
+    sequence. An m below 1, a negative source size, or a given l that lies
+    outside 0..m for every m raises ValueError.
     """
 
     tau_sizes: tuple[int, ...] = ()
@@ -327,6 +335,12 @@ class ScanBounds:
     l_values: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        for m in self.m_values:
+            if m < 1:
+                raise ValueError(f"m must be a positive integer, got {m}")
+        for size in self.tau_sizes:
+            if size < 0:
+                raise ValueError(f"tau sizes must be nonnegative, got {size}")
         top = max(self.m_values, default=0)
         for l in self.l_values or ():
             if not 0 <= l <= top:

@@ -222,6 +222,21 @@ def test_scan_l_that_fits_no_m_is_a_usage_error(capsys):
     assert recs[-1]["aggregate"]["cells"] == 3
 
 
+def test_scan_bad_m_is_a_usage_error_that_names_it(capsys):
+    for m in ("-1", "0"):
+        assert cli.main(["scan", "--m", m, "--tau-sizes", "1"]) == cli.EXIT_USAGE
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: m must be a positive integer, got {m}\n"
+
+
+def test_scan_negative_tau_size_is_a_usage_error_that_names_it(capsys):
+    assert cli.main(["scan", "--m", "2", "--tau-sizes", "1,-2"]) == cli.EXIT_USAGE
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: tau sizes must be nonnegative, got -2\n"
+
+
 def test_plethysm_oracle_mismatch_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(cli, "plethysm_oracle", lambda lam, mu: {})
     code, (rec,) = run_main(capsys, "plethysm", "--lambda", "1,1", "--mu", "2", "--oracle")

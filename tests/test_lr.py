@@ -1,3 +1,5 @@
+from itertools import product
+
 from hypothesis import example, given, settings, strategies as st
 import pytest
 
@@ -11,7 +13,7 @@ from plethlab import (
     partitions_of,
     skew_schur_expansion,
 )
-from plethlab.lr import dual_pieri_expansion
+from plethlab.lr import _hstrip_removals, dual_pieri_expansion
 
 
 def test_lattice_word_examples():
@@ -123,3 +125,20 @@ def test_dual_pieri_matches_enumeration(pair):
         if c:
             want[x] = c
     assert got == want
+
+
+@given(
+    st.integers(min_value=0, max_value=10).flatmap(lambda n: st.sampled_from(list(partitions_of(n)))),
+    st.integers(min_value=0, max_value=12),
+)
+@settings(max_examples=150, deadline=None)
+def test_hstrip_removals_are_the_validated_interlacing_shapes(shape, k):
+    # kappa interlaces shape (shape[i+1] <= kappa[i] <= shape[i]) with k boxes fewer
+    below = tuple(shape[1:]) + (0,)
+    rows = product(*(range(b, part + 1) for b, part in zip(below, shape)))
+    want = sorted(
+        (Partition(kappa) for kappa in rows if sum(kappa) == shape.size - k), reverse=True
+    )
+    got = _hstrip_removals(shape, k)
+    assert list(got) == want
+    assert all(type(p) is Partition and tuple(p) == tuple(Partition(p)) for p in got)

@@ -1,4 +1,4 @@
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 import pytest
 
 from plethlab import (
@@ -16,6 +16,7 @@ from plethlab import (
     grow_skew_line,
     parse_partition,
     parse_skew,
+    partitions_between,
     partitions_of,
     remove_first_column,
     union_sort,
@@ -168,6 +169,33 @@ def test_partitions_of_order_and_uniqueness():
         assert len(seen) == len(set(seen))
         assert all(p.size == n for p in seen)
         assert seen == sorted(seen, reverse=True)
+
+
+@given(
+    partition_strategy(max_size=8),
+    partition_strategy(max_size=10),
+    st.integers(min_value=0, max_value=14),
+)
+@settings(max_examples=300, deadline=None)
+@example(Partition(()), Partition((3, 1)), 2)
+@example(Partition(()), Partition(()), 0)
+@example(Partition((1,)), Partition(()), 1)
+@example(Partition((3,)), Partition((2, 2)), 3)
+@example(Partition((2, 1)), Partition((2, 2)), 5)
+@example(Partition((2, 1)), Partition((3, 3)), 2)
+@example(Partition((2, 1)), Partition((4, 2, 2, 1)), 7)
+def test_partitions_between_is_partitions_of_filtered(lo, hi, n):
+    got = list(partitions_between(lo, hi, n))
+    assert got == [p for p in partitions_of(n) if contains(p, lo) and contains(hi, p)]
+    assert all(type(p) is Partition and Partition(p) == p for p in got)
+
+
+def test_partitions_of_yields_canonical_partitions():
+    for n in range(0, 13):
+        assert all(type(p) is Partition and Partition(p) == p for p in partitions_of(n))
+    for walk in (partitions_of(-1), partitions_between((), (2,), -1)):
+        with pytest.raises(ValueError, match="got -1"):
+            next(walk)
 
 
 @given(partition_strategy())

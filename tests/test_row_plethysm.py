@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import plethlab
 from plethlab import (
     Partition,
+    conjugate,
     contains,
     grow_arm_legs,
     grow_line,
@@ -50,6 +51,22 @@ def test_arm_excess_closed_form_matches_engine():
         predicted = {nu for nu in partitions_of(2 * a) if rp._arm_excess_one(nu)}
         assert set(full) == predicted
         assert all(v == 1 for v in full.values())
+
+
+def test_arm_excess_one_reads_the_rows_like_the_conjugate():
+    def by_conjugate(p):
+        # Frobenius arms p_i - (i+1) against legs p'_i - (i+1), i < Durfee size
+        if not p:
+            return False
+        cols = conjugate(p)
+        d = 0
+        while d < len(p) and p[d] >= d + 1:
+            d += 1
+        return all(p[i] - (i + 1) == cols[i] - (i + 1) + 1 for i in range(d))
+
+    for n in range(0, 21):
+        for p in partitions_of(n):
+            assert rp._arm_excess_one(p) == by_conjugate(p), p
 
 
 @pytest.mark.parametrize("m", [3, 4, 5])

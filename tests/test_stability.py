@@ -1,3 +1,5 @@
+from functools import partial
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,16 +11,20 @@ from plethlab import (
     SkewShape,
     VerificationError,
     coefficient_sequence,
+    conjugate,
     detect_stabilization,
     grow_arm_legs,
     grow_line,
     partitions_of,
     plethysm_coefficient,
     recurrence_coefficient,
+    remove_first_column,
     scan,
     skew_plethysm_coefficient,
     verify_growth_identity,
 )
+from plethlab.plethysm import _skew_coefficient
+from plethlab.stability import _alternating_sum, _deep_coefficient
 
 P = Partition
 S = SkewShape.straight
@@ -199,6 +205,41 @@ def test_deep_reduction_matches_direct_on_random_inputs(data):
     )
 
 
+def _unpruned_alternating_sum(nu, lam, r, skew):
+    """The alternating double sum over every beta |- i and alpha |- k + r*i."""
+    upper, lower = P((r + 1,)), P((r,))
+    k = lam.size - len(nu)
+    nu_hat = remove_first_column(nu)
+    lam_conj = conjugate(lam)
+    total = 0
+    for i in range(k + 1):
+        sign = -1 if (k + i) % 2 else 1
+        inner_row = P((k - i,))
+        for beta in partitions_of(i):
+            for alpha in partitions_of(k + r * i):
+                first = skew(SkewShape(alpha, inner_row), S(conjugate(beta)), upper)
+                if first:
+                    second = skew(SkewShape(nu_hat, alpha), SkewShape(lam_conj, beta), lower)
+                    total += sign * first * second
+    return total
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_alternating_sum_matches_the_unpruned_loop(data):
+    r = data.draw(st.integers(1, 2))
+    lam = data.draw(st.sampled_from([lam for n in range(1, 5) for lam in partitions_of(n)]))
+    nu = data.draw(
+        st.sampled_from([nu for nu in partitions_of((r + 1) * lam.size) if len(nu) <= lam.size])
+    )
+    skew = data.draw(
+        st.sampled_from(
+            [skew_plethysm_coefficient, partial(_skew_coefficient, straight=_deep_coefficient)]
+        )
+    )
+    assert _alternating_sum(nu, lam, r, skew) == _unpruned_alternating_sum(nu, lam, r, skew)
+
+
 def test_reduction_mismatch_raises():
     # a deliberately corrupted inner evaluation must be reported, not returned
     from plethlab import stability
@@ -260,6 +301,14 @@ def test_scan_bounds_reject_an_l_that_fits_no_m():
             ScanBounds(tau_sizes=(1,), m_values=(2,), l_values=(l,))
     bounds = ScanBounds(tau_sizes=(1,), m_values=(2, 3), l_values=(3,))
     assert {(l, m) for _, _, l, m in bounds.cells()} == {(3, 3)}
+
+
+def test_scan_bounds_reject_bad_row_and_source_sizes():
+    for m in (0, -1):
+        with pytest.raises(ValueError, match=f"m must be a positive integer, got {m}"):
+            ScanBounds(tau_sizes=(1,), m_values=(2, m))
+    with pytest.raises(ValueError, match="tau sizes must be nonnegative, got -2"):
+        ScanBounds(tau_sizes=(1, -2), m_values=(2,))
 
 
 def test_scan_small_and_deterministic():
