@@ -1,10 +1,10 @@
 """Plethysm of Schur functions, two independent ways.
 
-The production route expands through the power-sum basis with exact rational
-arithmetic and converts back by adding border strips (the Murnaghan-Nakayama
-rule, the same one that gives symmetric group characters). The witness
-route substitutes monomials into monomials and peels Schur polynomials off
-the result. They share no code and must agree.
+The production route expands through the power-sum basis in exact integer
+arithmetic, over a known factorial scale, and converts back by adding border
+strips (the Murnaghan-Nakayama rule, the same one that gives symmetric group
+characters). The witness route substitutes monomials into monomials and
+peels Schur polynomials off the result. They share no code and must agree.
 """
 
 from plethlab import (

@@ -41,7 +41,6 @@ from .powersum import (
     _composed,
     _exact_quotients,
     _plethysm_items,
-    _scaled_to_integers,
     character_value,
     powersum_plethysm,
     powersum_to_schur,
@@ -266,12 +265,8 @@ def install_coefficient_store(store: MutableMapping[str, int] | None) -> None:
 
 
 def _coefficient_by_characters(nu: Partition, lam: Partition, mu: Partition) -> int:
-    denom, scaled = _scaled_to_integers(_composed(lam, mu))
-    total = 0
-    for rho, c in scaled.items():
-        chi = _character(nu, rho)
-        if chi:
-            total += c * chi
+    denom, composed = _composed(lam, mu)
+    total = sum(c * _character(nu, rho) for rho, c in composed.items())
     return _exact_quotients({nu: total}, denom).get(nu, 0)
 
 

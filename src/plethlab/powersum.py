@@ -1,15 +1,15 @@
 """The power-sum route: border strips, characters and basis changes.
 
-Plethysm goes through the power-sum basis with exact arithmetic: expand both
-factors over power sums, compose them with the substitution rules (a power
-sum composed into a power sum multiplies the indices), and convert back to
-Schur functions. The conversion scales the power-sum weights to integers
-over one common denominator and multiplies the empty Schur function by each
-power sum in turn, adding border strips on beta numbers (the
-Murnaghan-Nakayama rule read forwards); it shares the products of power sums
-with a common prefix by evaluating them Horner-fashion over a trie of their
-indices, and divides each total by the denominator exactly at the end.
-Nothing here ever touches floating point.
+Plethysm goes through the power-sum basis with exact arithmetic. Inside the
+package an expansion is a scale D with integral weights h, standing for h/D:
+a Schur function of degree n has D = n!, which every centralizer order
+divides, and composition (a power sum composed into a power sum multiplies
+the indices) keeps the weights integral. Back in the Schur basis, the empty
+Schur function is multiplied by each power sum in turn, adding border strips
+on beta numbers (the Murnaghan-Nakayama rule read forwards) and sharing
+common prefixes Horner-fashion over a trie of the indices; each total is
+divided by D exactly. ``Fraction`` appears only in the public functions that
+take or return rational weights, and nothing here touches floating point.
 
 The same evaluator :func:`_horner`, started from a base expansion in place
 of the empty Schur function, builds the row tables of :mod:`row_plethysm`.
@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cache
 from math import factorial, lcm
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Any, Iterable, Mapping
 
 from .partitions import ExactnessError, Partition, as_partition, partitions_of
 
@@ -150,15 +150,22 @@ def _centralizer_order(mu: Partition) -> int:
 # ---------------------------------------------------------------------------
 
 
-def schur_to_powersum(lam: Iterable[int]) -> dict[Partition, Fraction]:
-    """Power-sum expansion of a Schur function: character over centralizer order."""
-    lam = as_partition(lam)
+def _integral_schur(lam: Partition) -> tuple[int, dict[Partition, int]]:
+    """(n!, h) with h/n! the power-sum expansion of the Schur function of lam,
+    n = |lam|: h maps κ to χ^lam(κ)·n!/z_κ, an integer since z_κ divides n!."""
+    scale = factorial(lam.size)
     out = {}
     for mu in partitions_of(lam.size):
         chi = _character(lam, mu)
         if chi:
-            out[mu] = Fraction(chi, _centralizer_order(mu))
-    return out
+            out[mu] = chi * (scale // _centralizer_order(mu))
+    return scale, out
+
+
+def schur_to_powersum(lam: Iterable[int]) -> dict[Partition, Fraction]:
+    """Power-sum expansion of a Schur function: character over centralizer order."""
+    scale, scaled = _integral_schur(as_partition(lam))
+    return {mu: Fraction(c, scale) for mu, c in scaled.items()}
 
 
 def _normalize_pexp(f) -> dict[Partition, Fraction]:
@@ -170,25 +177,39 @@ def _normalize_pexp(f) -> dict[Partition, Fraction]:
     return out
 
 
-def _pexp_degree(f: dict[Partition, Fraction]) -> int:
-    degrees = {mu.size for mu in f}
-    if len(degrees) > 1:
-        raise ExactnessError(f"expansion is not homogeneous: degrees {sorted(degrees)}")
-    return degrees.pop() if degrees else 0
-
-
-def _pexp_mul(
-    f: dict[Partition, Fraction], g: dict[Partition, Fraction]
-) -> dict[Partition, Fraction]:
-    out: defaultdict[Partition, Fraction] = defaultdict(Fraction)
+def _pexp_mul(f: Mapping[Partition, Any], g: Mapping[Partition, Any]) -> dict[Partition, Any]:
+    out: defaultdict[Partition, Any] = defaultdict(int)
     for mu, a in f.items():
         for nu, b in g.items():
-            out[Partition(sorted(mu + nu, reverse=True))] += a * b
+            out[tuple.__new__(Partition, sorted(mu + nu, reverse=True))] += a * b
     return {k: v for k, v in out.items() if v}
 
 
-def _pexp_scale_indices(f: dict[Partition, Fraction], n: int) -> dict[Partition, Fraction]:
-    return {Partition(n * p for p in mu): c for mu, c in f.items()}
+def _compose(
+    df: int, f: Mapping[Partition, Any], dg: int, g: Mapping[Partition, Any]
+) -> tuple[int, dict[Partition, Any]]:
+    """(df·dg^L, h) with h/(df·dg^L) the plethysm of f/df by g/dg, where L is
+    the longest index of f; h is integral when f and g are.
+
+    A power sum composes into g by multiplying every index of g by its own,
+    and p_π∘(g/dg) = dg^−ℓ(π)·Π p_{π_i}∘g because each p_k∘ is a ring map
+    that fixes scalars. The powers (p_v∘g)^k are shared between the terms.
+    """
+    longest = max(map(len, f), default=0)
+    out: defaultdict[Partition, Any] = defaultdict(int)
+    powers: dict[tuple[int, int], dict[Partition, Any]] = {}
+    for pi, c in f.items():
+        term = {Partition(): c * dg ** (longest - len(pi))}
+        for v, mult in Counter(pi).items():
+            if (v, 1) not in powers:
+                powers[v, 1] = {Partition(v * p for p in mu): b for mu, b in g.items()}
+            for k in range(2, mult + 1):
+                if (v, k) not in powers:
+                    powers[v, k] = _pexp_mul(powers[v, k - 1], powers[v, 1])
+            term = _pexp_mul(term, powers[v, mult])
+        for mu, val in term.items():
+            out[mu] += val
+    return df * dg**longest, {k: v for k, v in out.items() if v}
 
 
 def powersum_plethysm(f, g) -> dict[Partition, Fraction]:
@@ -198,32 +219,7 @@ def powersum_plethysm(f, g) -> dict[Partition, Fraction]:
     its own; the first argument is extended linearly, and products of power
     sums compose factor by factor.
     """
-    f = _normalize_pexp(f)
-    g = _normalize_pexp(g)
-    out: defaultdict[Partition, Fraction] = defaultdict(Fraction)
-    scaled: dict[int, dict[Partition, Fraction]] = {}
-    powers: dict[tuple[int, int], dict[Partition, Fraction]] = {}
-    for pi, c in f.items():
-        term: dict[Partition, Fraction] = {Partition(): Fraction(1)}
-        for v, mult in Counter(pi).items():
-            if v not in scaled:
-                scaled[v] = _pexp_scale_indices(g, v)
-            key = (v, mult)
-            if key not in powers:
-                power = scaled[v]
-                for _ in range(mult - 1):
-                    power = _pexp_mul(power, scaled[v])
-                powers[key] = power
-            term = _pexp_mul(term, powers[key])
-        for mu, val in term.items():
-            out[mu] += c * val
-    return {k: v for k, v in out.items() if v}
-
-
-def _scaled_to_integers(f: dict[Partition, Fraction]) -> tuple[int, dict[Partition, int]]:
-    """(D, g) with D the least common denominator of f's weights and g = D·f."""
-    denom = lcm(*(c.denominator for c in f.values()))
-    return denom, {mu: c.numerator * (denom // c.denominator) for mu, c in f.items()}
+    return _compose(1, _normalize_pexp(f), 1, _normalize_pexp(g))[1]
 
 
 def _trie(terms: Iterable[tuple[tuple[int, ...], int]]) -> list:
@@ -265,24 +261,32 @@ def _exact_quotients(totals: Mapping, denom: int) -> dict:
     return out
 
 
-def powersum_to_schur(f) -> dict[Partition, int]:
-    """Schur expansion of a homogeneous power-sum expansion.
+def _to_schur(degree: int, denom: int, f: Mapping[Partition, int]) -> dict[Partition, int]:
+    """Schur expansion of f/denom, for f an integral power-sum expansion of the degree.
 
-    The weights are scaled to integers over their least common denominator
-    D. The power sums are gathered into a trie by their indices, parts in
+    The power sums are gathered into a trie by their indices, parts in
     decreasing order, and :func:`_horner` multiplies them onto s_∅ by border
     strip additions (inside the n×n box, which prunes nothing at degree n).
-    Each total is divided by D exactly; a remainder means the input was not
+    Each total is divided by denom exactly; a remainder means f/denom is not
     an integral symmetric function and raises :class:`ExactnessError`.
-    Entries come in the order of :func:`partitions_of`.
+    """
+    totals = _horner(_trie(f.items()), (degree,) * degree, {Partition(): 1}, defaultdict(int))
+    return _exact_quotients(totals, denom)
+
+
+def powersum_to_schur(f) -> dict[Partition, int]:
+    """Schur expansion of a homogeneous power-sum expansion, by :func:`_to_schur`
+    over the least common denominator of the weights. Entries come in the
+    order of :func:`partitions_of`.
     """
     f = _normalize_pexp(f)
-    degree = _pexp_degree(f)
-    denom, scaled = _scaled_to_integers(f)
-    trie = _trie(scaled.items())
-    totals = _horner(trie, (degree,) * degree, {Partition(): 1}, defaultdict(int))
+    degrees = {mu.size for mu in f} or {0}
+    if len(degrees) > 1:
+        raise ExactnessError(f"expansion is not homogeneous: degrees {sorted(degrees)}")
+    denom = lcm(*(c.denominator for c in f.values()))
+    scaled = {mu: c.numerator * (denom // c.denominator) for mu, c in f.items()}
     # descending tuple order is the reverse-lexicographic order of partitions_of
-    return dict(sorted(_exact_quotients(totals, denom).items(), reverse=True))
+    return dict(sorted(_to_schur(degrees.pop(), denom, scaled).items(), reverse=True))
 
 
 # ---------------------------------------------------------------------------
@@ -291,12 +295,14 @@ def powersum_to_schur(f) -> dict[Partition, int]:
 
 
 @cache
-def _composed(lam: Partition, mu: Partition) -> dict[Partition, Fraction]:
-    """Power-sum expansion of the plethysm of the two Schur functions."""
-    return powersum_plethysm(schur_to_powersum(lam), schur_to_powersum(mu))
+def _composed(lam: Partition, mu: Partition) -> tuple[int, dict[Partition, int]]:
+    """(D, h) with h/D the power-sum expansion of the plethysm of the two
+    Schur functions; h is integral."""
+    return _compose(*_integral_schur(lam), *_integral_schur(mu))
 
 
 @cache
 def _plethysm_items(lam: Partition, mu: Partition) -> Mapping[Partition, int]:
     """Read-only full Schur expansion, keys in increasing order."""
-    return MappingProxyType(dict(sorted(powersum_to_schur(_composed(lam, mu)).items())))
+    schur = _to_schur(lam.size * mu.size, *_composed(lam, mu))
+    return MappingProxyType(dict(sorted(schur.items())))

@@ -46,11 +46,10 @@ from .partitions import Partition, as_partition, contains
 from .powersum import (
     _exact_quotients,
     _horner,
+    _integral_schur,
     _plethysm_items,
-    _scaled_to_integers,
     _strip_additions,  # noqa: F401  perfbench/layers.py reads the kernel's cache here
     _trie,
-    schur_to_powersum,
 )
 
 __all__ = ["row_coefficient", "warm_tables", "reset_tables"]
@@ -91,9 +90,9 @@ class _RowTables:
     its coefficient in the composition of (h_a or e_a) with the one-row
     shape. Table a is built from tables a-1, ..., 0 by Newton's identity:
     for each r, :func:`_horner` multiplies table a-r by the composed power
-    sums p_(r·κ) over a trie, restricted to the cap. :func:`_scaled_to_integers`
-    scales the weights 1/z_κ of the row shape by their common denominator m!;
-    :func:`_exact_quotients` divides each entry by m!·a once and raises on a remainder.
+    sums p_(r·κ) over a trie, restricted to the cap. The weights are the row
+    shape's m!/z_κ from :func:`_integral_schur`, and :func:`_exact_quotients`
+    divides each entry by m!·a once and raises on a remainder.
     Coefficients inside the envelope are exact; growing the envelope resets
     the tables, so callers should warm it with every target shape they will
     query (see :func:`warm_tables`).
@@ -102,7 +101,7 @@ class _RowTables:
     def __init__(self, m: int):
         self.cap = Partition()
         self._targets: tuple[int, ...] = ()  # row-wise union of the target shapes
-        self._scale, weights = _scaled_to_integers(schur_to_powersum(Partition((m,))))
+        self._scale, weights = _integral_schur(Partition((m,)))
         self._row_pexp = tuple(weights.items())
         self._reset()
 

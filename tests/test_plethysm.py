@@ -519,8 +519,28 @@ def test_full_expansion_matches_character_pairing_and_oracle(pair):
     full = plethysm_schur(lam, mu)
     for nu in partitions_of(degree):
         assert full.get(nu, 0) == _coefficient_by_characters(nu, lam, mu)
-    if degree <= 6:
+    if degree <= 8:
         assert full == plethysm_oracle(lam, mu)
+
+
+@st.composite
+def pair_up_to_degree_14(draw):
+    """(lam, mu), empty shapes included, with |lam|·|mu| <= 14."""
+    a = draw(st.integers(0, 14))
+    b = draw(st.integers(0, 14 // a if a else 14))
+    return draw(st.sampled_from(list(partitions_of(a)))), draw(
+        st.sampled_from(list(partitions_of(b)))
+    )
+
+
+@given(pair_up_to_degree_14())
+@settings(max_examples=60, deadline=None)
+def test_integral_composition_matches_the_fraction_route(pair):
+    lam, mu = pair
+    denom, composed = pl._composed(lam, mu)
+    assert all(type(c) is int and c for c in composed.values())
+    expected = powersum_plethysm(schur_to_powersum(lam), schur_to_powersum(mu))
+    assert composed == {rho: c * denom for rho, c in expected.items()}
 
 
 @given(st.integers(0, 8).flatmap(
@@ -543,7 +563,6 @@ from fractions import Fraction
 
 from plethlab import ExactnessError, Partition
 from plethlab import plethysm as pl
-from plethlab import powersum as ps
 
 if not sys.flags.optimize:
     sys.exit("not running under -O")
@@ -555,7 +574,7 @@ except ExactnessError:
 else:
     sys.exit("a non-integral Schur expansion was not detected")
 
-ps.powersum_plethysm = lambda f, g: {Partition((2,)): Fraction(1, 2)}
+pl._composed = lambda lam, mu: (2, {Partition((2,)): 1})
 try:
     pl._coefficient_by_characters(Partition((2,)), Partition((2,)), Partition((1,)))
 except ExactnessError:
@@ -577,6 +596,44 @@ def test_exactness_checks_fire_under_python_O():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+_FRACTION_BOUNDARY = {
+    "schur_to_powersum",
+    "powersum_plethysm",
+    "powersum_to_schur",
+    "_normalize_pexp",
+}
+
+
+def test_fraction_appears_only_at_the_public_power_sum_boundary():
+    # inside the package a power-sum expansion is (D, {κ: int}); Fraction
+    # values are made or read only where the public functions take or return
+    # them, so the integer format stays behind the powersum module
+    package = Path(plethlab.__file__).resolve().parent
+    found, boundary = [], set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        annotations = set()
+        for node in ast.walk(tree):
+            for note in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+                if note is not None:
+                    annotations.update(id(inner) for inner in ast.walk(note))
+        for top in tree.body:
+            name = getattr(top, "name", None)
+            allowed = path.stem == "powersum" and name in _FRACTION_BOUNDARY
+            for node in ast.walk(top):
+                if id(node) in annotations:
+                    continue
+                if (isinstance(node, ast.Name) and node.id == "Fraction") or (
+                    isinstance(node, ast.Attribute) and node.attr == "Fraction"
+                ):
+                    if allowed:
+                        boundary.add(name)
+                    else:
+                        found.append(f"{path.name}:{node.lineno}")
+    assert boundary, "the guard saw no Fraction at the boundary either"
+    assert not found, f"Fraction outside the public power-sum boundary: {found}"
 
 
 def test_package_has_no_assert_statements():
