@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cache
 from math import factorial, lcm
 from types import MappingProxyType
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from .partitions import ExactnessError, Partition, as_partition, partitions_of
 
@@ -233,17 +233,28 @@ def _trie(terms: Iterable[tuple[tuple[int, ...], int]]) -> list:
     return root
 
 
-def _horner(node: list, cap: tuple[int, ...], base: Mapping, out: defaultdict) -> defaultdict:
+def _horner(
+    node: list,
+    cap: tuple[int, ...],
+    base: Mapping,
+    out: defaultdict,
+    inside: Callable[[Partition], bool] | None = None,
+) -> defaultdict:
     """Add Σ w·p_indices·base over the power sums of the trie into out; returns out.
     A node [w, {a: child}] gives w·base + Σ_a p_a·(the child's sum), each p_a
-    adding border strips inside cap to the shapes whose coefficient is nonzero."""
+    adding border strips inside cap to the shapes whose coefficient is nonzero.
+
+    With a shape test ``inside`` (a down-closed set: the row tables'
+    envelope), a shape that fails it gets no strips: every shape grown from
+    it fails too. Totals at shapes that fail it are then partial sums, which
+    the caller drops."""
     weight, children = node
     if weight:
         for shape, c in base.items():
             out[shape] += weight * c
     for a, child in children.items():
-        for shape, c in _horner(child, cap, base, defaultdict(int)).items():
-            if c:
+        for shape, c in _horner(child, cap, base, defaultdict(int), inside).items():
+            if c and (inside is None or inside(shape)):
                 for bigger, sign in _strip_additions(shape, a, cap):
                     out[bigger] += sign * c
     return out
@@ -297,12 +308,15 @@ def powersum_to_schur(f) -> dict[Partition, int]:
 @cache
 def _composed(lam: Partition, mu: Partition) -> tuple[int, dict[Partition, int]]:
     """(D, h) with h/D the power-sum expansion of the plethysm of the two
-    Schur functions; h is integral."""
+    Schur functions; h is integral. Cached for the character pairing, which
+    reads it once per target."""
     return _compose(*_integral_schur(lam), *_integral_schur(mu))
 
 
 @cache
 def _plethysm_items(lam: Partition, mu: Partition) -> Mapping[Partition, int]:
-    """Read-only full Schur expansion, keys in increasing order."""
-    schur = _to_schur(lam.size * mu.size, *_composed(lam, mu))
+    """Read-only full Schur expansion, keys in increasing order. The
+    composition is left uncached, since this expansion is cached itself."""
+    composed = _compose(*_integral_schur(lam), *_integral_schur(mu))
+    schur = _to_schur(lam.size * mu.size, *composed)
     return MappingProxyType(dict(sorted(schur.items())))

@@ -20,15 +20,18 @@ factor:
   one, both with multiplicity one;
 * for larger rows the one-piece compositions are tabulated by Newton's
   identities lifted through the composition, keeping full Schur expansions
-  pruned to an envelope of the target shapes (row bounds, the "cap").
+  pruned to an envelope: the union of the down-sets of the target shapes.
   Pruning is sound because multiplying by a power sum only adds boxes, so
-  anything outside a downward-closed envelope can never re-enter it. The
-  multiplication (``_horner`` of :mod:`powersum`, which also evaluates the
-  full expansions) adds border strips on beta numbers of fixed length
-  ``len(cap)`` and rejects a move before building its shape when the shape
-  would leave the cap, so no shape outside the envelope is ever made. The
-  sums run in integers scaled by m!, which every centralizer order z
-  divides, with one exact division per table entry at the end.
+  a coefficient inside a downward-closed envelope depends only on
+  coefficients inside it, and a new target's down-set can be added to the
+  tables later on its own. The multiplication (``_horner`` of
+  :mod:`powersum`, which also evaluates the full expansions) adds border
+  strips on beta numbers of fixed length ``len(cap)``, where the "cap" is
+  the targets' row-wise maximum, and rejects a move before building its
+  shape when the shape would leave the cap; a shape inside the cap but
+  outside the envelope gets no further strips, and its partial total is
+  dropped. The sums run in integers scaled by m!, which every centralizer
+  order z divides, with one exact division per table entry at the end.
 
 The route declines (returns None) when the outer shape is not thin enough or
 a determinant term would carry two large factors; callers then fall back to
@@ -39,10 +42,11 @@ from __future__ import annotations
 
 from collections import defaultdict
 from functools import cache
-from typing import Iterable
+from itertools import zip_longest
+from typing import Callable, Iterable
 
 from .lr import _jacobi_trudi_terms, dual_pieri_expansion
-from .partitions import Partition, as_partition, contains
+from .partitions import Partition, as_partition
 from .powersum import (
     _exact_quotients,
     _horner,
@@ -83,29 +87,73 @@ def _arm_excess_one(p: Partition) -> bool:
     return True
 
 
-class _RowTables:
-    """Envelope-pruned Schur expansions of the one-piece compositions.
+def _slacked(shape: Partition) -> Partition:
+    """The target a warmed or queried shape stands for: two more boxes on row
+    0 and one more row of one box, against near-miss growths."""
+    return Partition((shape[0] + 2, *shape[1:], 1)) if shape else shape
 
-    ``tables[kind][a]`` maps each partition inside the envelope ``cap`` to
-    its coefficient in the composition of (h_a or e_a) with the one-row
-    shape. Table a is built from tables a-1, ..., 0 by Newton's identity:
-    for each r, :func:`_horner` multiplies table a-r by the composed power
-    sums p_(r·κ) over a trie, restricted to the cap. The weights are the row
-    shape's m!/z_κ from :func:`_integral_schur`, and :func:`_exact_quotients`
-    divides each entry by m!·a once and raises on a remainder.
-    Coefficients inside the envelope are exact; growing the envelope resets
-    the tables, so callers should warm it with every target shape they will
-    query (see :func:`warm_tables`).
+
+class _DownSet(dict):
+    """Memoised membership in the union of the targets' down-sets.
+
+    ``self[shape]`` is True when the shape fits inside some target. One
+    bitmask per (row i, value v) marks the targets whose row i is at least
+    v, and the AND of the masks of a shape's rows marks the targets that
+    contain it.
+    """
+
+    def __init__(self, targets: tuple[Partition, ...]):
+        super().__init__()
+        self._all = (1 << len(targets)) - 1
+        tops = map(max, zip_longest(*targets, fillvalue=0))
+        self._masks = [[0] * (top + 1) for top in tops]
+        # each target's bit goes in at its own part, then spreads to the smaller values
+        for j, target in enumerate(targets):
+            for row, part in zip(self._masks, target):
+                row[part] |= 1 << j
+        for row in self._masks:
+            for v in range(len(row) - 2, -1, -1):
+                row[v] |= row[v + 1]
+
+    def over(self, shape: Partition) -> int:
+        """The bitmask of the targets that contain the shape."""
+        masks = self._masks
+        hit = self._all if len(shape) <= len(masks) else 0
+        for row, part in zip(masks, shape):
+            if not hit:
+                break
+            hit &= row[part] if part < len(row) else 0
+        return hit
+
+    def __missing__(self, shape: Partition) -> bool:
+        self[shape] = found = self.over(shape) != 0
+        return found
+
+
+class _RowTables:
+    """Schur expansions of the one-piece compositions on an envelope.
+
+    The envelope is the union of the down-sets of the targets, the maximal
+    shapes (each :func:`_slacked`) among those warmed or queried so far.
+    ``inside(shape)`` tests membership, and ``cap``, the targets' row-wise
+    maximum, bounds the strip kernel. ``tables[kind][a]`` maps each
+    partition inside the envelope to its coefficient in the composition of
+    (h_a or e_a) with the one-row shape. Table a is built from tables a-1,
+    ..., 0 by Newton's identity: for each r, :func:`_horner` multiplies
+    table a-r by the composed power sums p_(r·κ) over a trie, walking only
+    shapes inside the envelope. The weights are the row shape's m!/z_κ from
+    :func:`_integral_schur`, and :func:`_exact_quotients` divides each entry
+    by m!·a once and raises on a remainder. Coefficients inside the envelope
+    are exact; a new target extends every built table in place
+    (:meth:`extend_cap`), and nothing is ever rebuilt.
     """
 
     def __init__(self, m: int):
+        self._targets: tuple[Partition, ...] = ()
         self.cap = Partition()
-        self._targets: tuple[int, ...] = ()  # row-wise union of the target shapes
+        self.inside = _DownSet(self._targets).__getitem__
         self._scale, weights = _integral_schur(Partition((m,)))
         self._row_pexp = tuple(weights.items())
-        self._reset()
-
-    def _reset(self) -> None:
         one = {Partition(): 1}
         self.tables: dict[str, list[dict[Partition, int]]] = {
             "h": [dict(one)],
@@ -113,34 +161,55 @@ class _RowTables:
         }
 
     def extend_cap(self, shapes: Iterable[Partition]) -> None:
-        # the slack goes on the union of every target so far, so repeated
-        # rebuilds do not ratchet the cap wider than any target needs
-        shapes = [self._targets, *shapes]
-        rows = max(len(s) for s in shapes)
-        targets = tuple(max(s[i] for s in shapes if i < len(s)) for i in range(rows))
-        cap = list(targets)
-        if cap:
-            cap[0] += 2  # mild slack against near-miss rebuilds
-            cap.append(min(cap[-1], 1))
-        self._targets = targets
-        self.cap = Partition(cap)
-        self._reset()
+        """Add the shapes as targets and extend the built tables to them.
+
+        The slacked shapes outside the envelope join the targets, of which
+        only the maximal ones are kept. Each built table is then completed,
+        in increasing order, on the new targets' down-sets alone: a new
+        shape's Newton inputs are the shapes inside it, where the lower
+        tables are already complete.
+        """
+        new = dict.fromkeys(t for t in map(_slacked, shapes) if not self.inside(t))
+        if not new:
+            return
+        was_inside = self.inside
+        pool = (*self._targets, *new)
+        over = _DownSet(pool).over
+        self._targets = tuple(t for j, t in enumerate(pool) if over(t) == 1 << j)
+        self.cap = Partition(map(max, zip_longest(*self._targets, fillvalue=0)))
+        self.inside = _DownSet(self._targets).__getitem__
+        grown = _DownSet(tuple(t for t in self._targets if t in new)).__getitem__
+        for kind, tabs in self.tables.items():
+            for b in range(1, len(tabs)):
+                totals = self._newton(kind, b, grown)
+                fresh = {s: t for s, t in totals.items() if not was_inside(s)}
+                tabs[b].update(_exact_quotients(fresh, self._scale * b))
+
+    def _newton(
+        self, kind: str, b: int, inside: Callable[[Partition], bool]
+    ) -> dict[Partition, int]:
+        """m!·b times table b on the shapes that pass inside (a down-closed
+        test), from the lower tables' entries that pass it."""
+        tabs = self.tables[kind]
+        acc: defaultdict[Partition, int] = defaultdict(int)
+        for r in range(1, b + 1):
+            sign = 1 if kind == "h" else (-1) ** (r - 1)
+            # increasing parts, so Horner adds the largest strip first; the
+            # reverse order builds 14% more kernel entries on the default scan
+            trie = _trie(
+                (sorted(r * part for part in kappa), sign * weight)
+                for kappa, weight in self._row_pexp
+            )
+            base = {s: c for s, c in tabs[b - r].items() if inside(s)}
+            _horner(trie, self.cap, base, acc, inside)
+        # shapes outside hold partial sums: drop them before dividing
+        return {s: t for s, t in acc.items() if inside(s)}
 
     def ensure(self, kind: str, a: int) -> None:
         tabs = self.tables[kind]
         while len(tabs) <= a:
             b = len(tabs)
-            acc: defaultdict[Partition, int] = defaultdict(int)
-            for r in range(1, b + 1):
-                sign = 1 if kind == "h" else (-1) ** (r - 1)
-                # increasing parts, so Horner adds the largest strip first; the
-                # reverse order builds 14% more kernel entries on the default scan
-                trie = _trie(
-                    (sorted(r * part for part in kappa), sign * weight)
-                    for kappa, weight in self._row_pexp
-                )
-                _horner(trie, self.cap, tabs[b - r], acc)
-            tabs.append(_exact_quotients(acc, self._scale * b))
+            tabs.append(_exact_quotients(self._newton(kind, b, self.inside), self._scale * b))
 
 
 _tables_for = cache(_RowTables)
@@ -148,18 +217,21 @@ reset_tables = _tables_for.cache_clear
 
 
 def _tables_covering(shapes: list[Partition], m: int) -> _RowTables:
-    """The tables for m, their envelope grown first if it misses a shape."""
+    """The tables for m, with every shape added as a target if one is outside."""
     tables = _tables_for(m)
-    if not all(contains(tables.cap, s) for s in shapes):
+    if not all(map(tables.inside, shapes)):
         tables.extend_cap(shapes)
     return tables
 
 
 def warm_tables(nus: Iterable[Iterable[int]], m: int) -> None:
-    """Grow the envelope for m once, before a batch of queries.
+    """Add a batch of target shapes for m before querying them.
 
-    Purely a performance hint: queries outside the envelope grow it on the
-    fly, at the cost of a table rebuild per growth.
+    Purely a performance hint: a query outside the envelope extends it on
+    the fly, by one Newton pass per built table over the new target's
+    down-set. A batch with a shape outside the envelope adds all its shapes
+    as targets, so warming batch by batch gives the tables of one warm with
+    all of them.
     """
     if m > 2:
         _tables_covering([as_partition(nu) for nu in nus], m)

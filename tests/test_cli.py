@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -181,6 +182,18 @@ def test_cache_write_failing_partway_leaves_the_old_store(tmp_path):
 def run_main(capsys, *args):
     code = cli.main(list(args))
     return code, [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+
+
+def test_m4_scan_output_is_pinned(capsys):
+    # m = 4 goes through the row tables, where the envelope prunes the most
+    # shapes; no benchmark digest covers it
+    assert cli.main(["scan", "--m", "4", "--tau-sizes", "0,1"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 31
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "4c761da60eb4f881975fc0e5cef217dea501939034591e287c99eacf6702a006"
+    )
 
 
 def test_coeff_oracle_mismatch_exits_1(monkeypatch, capsys):

@@ -543,6 +543,14 @@ def test_integral_composition_matches_the_fraction_route(pair):
     assert composed == {rho: c * denom for rho, c in expected.items()}
 
 
+def test_full_expansions_leave_the_composition_cache_alone():
+    # the full expansion caches its own result; the cached composition serves
+    # the character pairing only
+    pl._composed.cache_clear()
+    pl._plethysm_items.__wrapped__(Partition((2, 1)), Partition((3,)))
+    assert pl._composed.cache_info().currsize == 0
+
+
 @given(st.integers(0, 8).flatmap(
     lambda n: st.dictionaries(
         st.sampled_from(list(partitions_of(n))), st.integers(-5, 5), max_size=6

@@ -24,7 +24,7 @@ from plethlab import (
     plethysm_schur,
     verify_growth_identity,
 )
-from plethlab.plethysm import _coefficient_by_characters, _plethysm_items
+from plethlab.plethysm import _coefficient_by_characters, _plethysm_items, plethysm_coefficient
 from plethlab import row_plethysm as rp
 
 P = Partition
@@ -206,6 +206,97 @@ def test_row_route_against_character_pairing_beyond_full_expansion():
             assert plethysm_coefficient(nu, lam, P((m,))) == _coefficient_by_characters(
                 nu, lam, P((m,))
             )
+
+
+# ---------------------------------------------------------------------------
+# The envelope: the union of the slacked targets' down-sets, grown in place
+# ---------------------------------------------------------------------------
+
+
+def _slack(nu):
+    # each target carries two more boxes on row 0 and a trailing row of one box
+    return P((nu[0] + 2, *nu[1:], 1))
+
+
+def _built_tables(batches, levels):
+    """Fresh m = 3 tables warmed batch by batch, each kind built to levels[i]
+    right after batch i."""
+    rp.reset_tables()
+    tables = rp._tables_for(3)
+    for batch, level in zip(batches, levels):
+        rp.warm_tables(batch, 3)
+        for kind in ("h", "e"):
+            tables.ensure(kind, level)
+    return tables
+
+
+def _piece(kind, a):
+    return P((a,)) if kind == "h" else P((1,) * a)
+
+
+def _expected_entry(kind, a, nu):
+    if 3 * a <= 15:
+        return _plethysm_items(_piece(kind, a), P((3,))).get(nu, 0)
+    return _coefficient_by_characters(nu, _piece(kind, a), P((3,)))
+
+
+_SMALL_TARGETS = [nu for n in range(3, 7) for nu in partitions_of(3 * n) if len(nu) <= n]
+
+
+@given(
+    st.lists(st.sampled_from(_SMALL_TARGETS), min_size=1, max_size=3),
+    st.lists(st.sampled_from(_SMALL_TARGETS), min_size=1, max_size=3),
+    st.integers(0, 6),
+)
+@settings(
+    max_examples=20,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_two_warm_batches_give_the_tables_of_one(batch_a, batch_b, built_before):
+    rp.reset_tables()
+    rp.warm_tables(batch_a, 3)
+    covered = all(map(rp._tables_for(3).inside, batch_b))
+    tables = _built_tables([batch_a, batch_b], [built_before, 6])
+    # a batch already inside the envelope adds nothing; otherwise every
+    # shape of it becomes a target, as in one warm with both batches
+    targets = batch_a if covered else batch_a + batch_b
+    one_shot = _built_tables([targets], [6])
+    assert tables.tables == one_shot.tables
+    assert tables.cap == one_shot.cap
+    for kind in ("h", "e"):
+        for a, table in enumerate(tables.tables[kind]):
+            for nu, c in table.items():
+                assert any(contains(_slack(t), nu) for t in targets), nu
+                assert c == _expected_entry(kind, a, nu), (kind, a, nu)
+            if 3 * a <= 15:
+                for nu, c in _plethysm_items(_piece(kind, a), P((3,))).items():
+                    if any(contains(_slack(t), nu) for t in targets):
+                        assert table.get(nu) == c, (kind, a, nu)
+
+
+def test_an_earlier_query_does_not_widen_a_later_envelope():
+    # a query for (11, 7) targets (13, 7, 1); a row-wise union with the batch's
+    # slacked targets would also hold (15, 6), whose coefficient in the
+    # composition of h_7 with h_3 is 2, though no target contains it
+    assert plethysm_coefficient((11, 7), (6,), (3,)) == _coefficient_by_characters(
+        P((11, 7)), P((6,)), P((3,))
+    )
+    batch = [P((20, 2, 2, 2)), P((9, 3, 3, 3))]
+    rp.warm_tables(batch, 3)
+    tables = rp._tables_for(3)
+    for kind in ("h", "e"):
+        tables.ensure(kind, 8)
+    after_query = tables.tables
+    one_shot = _built_tables([[P((11, 7)), *batch]], [8])
+    assert after_query == one_shot.tables
+    witness = P((15, 6))
+    assert contains(one_shot.cap, witness)
+    assert _coefficient_by_characters(witness, P((7,)), P((3,))) == 2
+    assert witness not in after_query["h"][7]
+    for kind in ("h", "e"):
+        for table in after_query[kind]:
+            assert all(any(contains(_slack(t), nu) for t in [P((11, 7)), *batch]) for nu in table)
 
 
 # ---------------------------------------------------------------------------
