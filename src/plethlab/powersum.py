@@ -54,8 +54,11 @@ def _strip_additions(
     it in row p, shifts rows p..i-1 down by one row (each gains a box) and
     has sign (-1)^(i-p). A move is rejected before its shape is built when
     the new part at p or a shifted row would exceed its cap. The shape must
-    lie inside the cap, as every caller's does (full expansions fill the n×n
-    box, row tables restart from s_∅), so only its row count is checked.
+    lie inside the cap, as every caller's does, so only its row count is
+    checked: full expansions fill the n×n box, and :func:`_horner` strips
+    a row-table shape only when it passes the shape test, which admits only
+    shapes below some envelope target, and the cap is the row-wise maximum
+    of those targets.
     """
     if len(shape) > len(cap):
         return ()

@@ -144,8 +144,9 @@ class _RowTables:
     shapes inside the envelope. The weights are the row shape's m!/z_κ from
     :func:`_integral_schur`, and :func:`_exact_quotients` divides each entry
     by m!·a once and raises on a remainder. Coefficients inside the envelope
-    are exact; a new target extends every built table in place
-    (:meth:`extend_cap`), and nothing is ever rebuilt.
+    are exact. A new target extends every built table in place
+    (:meth:`extend_cap`), so the tables are never reset, though a growth
+    recomputes the entries of the old envelope that lie below a new target.
     """
 
     def __init__(self, m: int):
@@ -164,26 +165,24 @@ class _RowTables:
         """Add the shapes as targets and extend the built tables to them.
 
         The slacked shapes outside the envelope join the targets, of which
-        only the maximal ones are kept. Each built table is then completed,
-        in increasing order, on the new targets' down-sets alone: a new
-        shape's Newton inputs are the shapes inside it, where the lower
-        tables are already complete.
+        only the maximal ones are kept. Each built table is then recomputed,
+        in increasing order, on the new targets' down-sets alone and merged
+        in: a new shape's Newton inputs are the shapes inside it, where the
+        lower tables are already complete, and an entry the table already
+        holds is recomputed to the same value.
         """
-        new = dict.fromkeys(t for t in map(_slacked, shapes) if not self.inside(t))
+        new = tuple(dict.fromkeys(t for t in map(_slacked, shapes) if not self.inside(t)))
         if not new:
             return
-        was_inside = self.inside
         pool = (*self._targets, *new)
         over = _DownSet(pool).over
         self._targets = tuple(t for j, t in enumerate(pool) if over(t) == 1 << j)
         self.cap = Partition(map(max, zip_longest(*self._targets, fillvalue=0)))
         self.inside = _DownSet(self._targets).__getitem__
-        grown = _DownSet(tuple(t for t in self._targets if t in new)).__getitem__
+        grown = _DownSet(new).__getitem__
         for kind, tabs in self.tables.items():
             for b in range(1, len(tabs)):
-                totals = self._newton(kind, b, grown)
-                fresh = {s: t for s, t in totals.items() if not was_inside(s)}
-                tabs[b].update(_exact_quotients(fresh, self._scale * b))
+                tabs[b].update(_exact_quotients(self._newton(kind, b, grown), self._scale * b))
 
     def _newton(
         self, kind: str, b: int, inside: Callable[[Partition], bool]

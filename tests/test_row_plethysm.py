@@ -275,6 +275,19 @@ def test_two_warm_batches_give_the_tables_of_one(batch_a, batch_b, built_before)
                         assert table.get(nu) == c, (kind, a, nu)
 
 
+def test_growth_completes_the_built_levels_in_place():
+    # the levels built before an uncovered warm stay built, and already hold
+    # the one-shot entries on the new target's down-set, with no ensure call
+    tables = _built_tables([[P((9, 3, 3, 3))]], [6])
+    levels = {kind: tables.tables[kind] for kind in ("h", "e")}
+    rp.warm_tables([P((20, 2, 2, 2))], 3)
+    one_shot = _built_tables([[P((9, 3, 3, 3)), P((20, 2, 2, 2))]], [6])
+    for kind in ("h", "e"):
+        assert tables.tables[kind] is levels[kind]
+        assert levels[kind] == one_shot.tables[kind]
+    assert levels["h"][6][P((16, 2))] == 1
+
+
 def test_an_earlier_query_does_not_widen_a_later_envelope():
     # a query for (11, 7) targets (13, 7, 1); a row-wise union with the batch's
     # slacked targets would also hold (15, 6), whose coefficient in the
