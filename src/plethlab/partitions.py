@@ -125,8 +125,12 @@ def as_partition(value: Iterable[int] | Partition) -> Partition:
 
 
 def as_skew(value) -> SkewShape:
-    """Coerce a SkewShape, a partition, or an (outer, inner) pair."""
+    """Coerce a SkewShape, a partition, or an (outer, inner) pair.
+
+    A SkewShape whose parts are already Partitions is returned as it is."""
     if isinstance(value, SkewShape):
+        if type(value.outer) is type(value.inner) is Partition:
+            return value
         return SkewShape(as_partition(value.outer), as_partition(value.inner))
     if isinstance(value, Partition):
         return SkewShape(value, _EMPTY)

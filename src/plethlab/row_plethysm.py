@@ -20,18 +20,19 @@ factor:
   one, both with multiplicity one;
 * for larger rows the one-piece compositions are tabulated by Newton's
   identities lifted through the composition, keeping full Schur expansions
-  pruned to an envelope: the union of the down-sets of the target shapes.
-  Pruning is sound because multiplying by a power sum only adds boxes, so
-  a coefficient inside a downward-closed envelope depends only on
-  coefficients inside it, and a new target's down-set can be added to the
-  tables later on its own. The multiplication (``_horner`` of
-  :mod:`powersum`, which also evaluates the full expansions) adds border
-  strips on beta numbers of fixed length ``len(cap)``, where the "cap" is
-  the targets' row-wise maximum, and rejects a move before building its
-  shape when the shape would leave the cap; a shape inside the cap but
-  outside the envelope gets no further strips, and its partial total is
-  dropped. The sums run in integers scaled by m!, which every centralizer
-  order z divides, with one exact division per table entry at the end.
+  pruned to an envelope: exactly the union of the down-sets of the shapes
+  warmed or queried. Pruning is sound because multiplying by a power sum
+  only adds boxes, so a coefficient inside a downward-closed envelope
+  depends only on coefficients inside it, and a new target's down-set can
+  be added to the tables later on its own. The multiplication (``_horner``
+  of :mod:`powersum`, which also evaluates the full expansions) adds
+  border strips on beta numbers of fixed length ``len(cap)``, where the
+  "cap" is the targets' row-wise maximum, and rejects a move before
+  building its shape when the shape would leave the cap; a shape inside
+  the cap but outside the envelope gets no further strips, and its partial
+  total is dropped. The sums run in integers scaled by m!, which every
+  centralizer order z divides, with one exact division per table entry at
+  the end.
 
 The route declines (returns None) when the outer shape is not thin enough or
 a determinant term would carry two large factors; callers then fall back to
@@ -87,19 +88,13 @@ def _arm_excess_one(p: Partition) -> bool:
     return True
 
 
-def _slacked(shape: Partition) -> Partition:
-    """The target a warmed or queried shape stands for: two more boxes on row
-    0 and one more row of one box, against near-miss growths."""
-    return Partition((shape[0] + 2, *shape[1:], 1)) if shape else shape
-
-
 class _DownSet(dict):
     """Memoised membership in the union of the targets' down-sets.
 
     ``self[shape]`` is True when the shape fits inside some target. One
     bitmask per (row i, value v) marks the targets whose row i is at least
     v, and the AND of the masks of a shape's rows marks the targets that
-    contain it.
+    contain it. ``cap`` is the targets' row-wise maximum, read off the masks.
     """
 
     def __init__(self, targets: tuple[Partition, ...]):
@@ -107,6 +102,7 @@ class _DownSet(dict):
         self._all = (1 << len(targets)) - 1
         tops = map(max, zip_longest(*targets, fillvalue=0))
         self._masks = [[0] * (top + 1) for top in tops]
+        self.cap = Partition(len(row) - 1 for row in self._masks)
         # each target's bit goes in at its own part, then spreads to the smaller values
         for j, target in enumerate(targets):
             for row, part in zip(self._masks, target):
@@ -115,26 +111,22 @@ class _DownSet(dict):
             for v in range(len(row) - 2, -1, -1):
                 row[v] |= row[v + 1]
 
-    def over(self, shape: Partition) -> int:
-        """The bitmask of the targets that contain the shape."""
+    def __missing__(self, shape: Partition) -> bool:
         masks = self._masks
         hit = self._all if len(shape) <= len(masks) else 0
         for row, part in zip(masks, shape):
             if not hit:
                 break
             hit &= row[part] if part < len(row) else 0
-        return hit
-
-    def __missing__(self, shape: Partition) -> bool:
-        self[shape] = found = self.over(shape) != 0
+        self[shape] = found = hit != 0
         return found
 
 
 class _RowTables:
     """Schur expansions of the one-piece compositions on an envelope.
 
-    The envelope is the union of the down-sets of the targets, the maximal
-    shapes (each :func:`_slacked`) among those warmed or queried so far.
+    The envelope is the union of the down-sets of the targets, the shapes
+    warmed or queried so far that lay outside it when they came.
     ``inside(shape)`` tests membership, and ``cap``, the targets' row-wise
     maximum, bounds the strip kernel. ``tables[kind][a]`` maps each
     partition inside the envelope to its coefficient in the composition of
@@ -151,8 +143,8 @@ class _RowTables:
 
     def __init__(self, m: int):
         self._targets: tuple[Partition, ...] = ()
-        self.cap = Partition()
-        self.inside = _DownSet(self._targets).__getitem__
+        envelope = _DownSet(self._targets)
+        self.inside, self.cap = envelope.__getitem__, envelope.cap
         self._scale, weights = _integral_schur(Partition((m,)))
         self._row_pexp = tuple(weights.items())
         one = {Partition(): 1}
@@ -164,21 +156,19 @@ class _RowTables:
     def extend_cap(self, shapes: Iterable[Partition]) -> None:
         """Add the shapes as targets and extend the built tables to them.
 
-        The slacked shapes outside the envelope join the targets, of which
-        only the maximal ones are kept. Each built table is then recomputed,
-        in increasing order, on the new targets' down-sets alone and merged
-        in: a new shape's Newton inputs are the shapes inside it, where the
-        lower tables are already complete, and an entry the table already
-        holds is recomputed to the same value.
+        The shapes outside the envelope join the targets; targets are never
+        dropped. Each built table is then recomputed, in increasing order, on
+        the new targets' down-sets alone and merged in: a new shape's Newton
+        inputs are the shapes inside it, where the lower tables are already
+        complete, and an entry the table already holds is recomputed to the
+        same value.
         """
-        new = tuple(dict.fromkeys(t for t in map(_slacked, shapes) if not self.inside(t)))
+        new = tuple(dict.fromkeys(s for s in shapes if not self.inside(s)))
         if not new:
             return
-        pool = (*self._targets, *new)
-        over = _DownSet(pool).over
-        self._targets = tuple(t for j, t in enumerate(pool) if over(t) == 1 << j)
-        self.cap = Partition(map(max, zip_longest(*self._targets, fillvalue=0)))
-        self.inside = _DownSet(self._targets).__getitem__
+        self._targets += new
+        envelope = _DownSet(self._targets)
+        self.inside, self.cap = envelope.__getitem__, envelope.cap
         grown = _DownSet(new).__getitem__
         for kind, tabs in self.tables.items():
             for b in range(1, len(tabs)):
@@ -228,9 +218,9 @@ def warm_tables(nus: Iterable[Iterable[int]], m: int) -> None:
 
     Purely a performance hint: a query outside the envelope extends it on
     the fly, by one Newton pass per built table over the new target's
-    down-set. A batch with a shape outside the envelope adds all its shapes
-    as targets, so warming batch by batch gives the tables of one warm with
-    all of them.
+    down-set. The shapes of the batch outside the envelope become targets,
+    and the envelope is the union of their down-sets with the earlier ones,
+    so warming batch by batch gives the tables of one warm with all of them.
     """
     if m > 2:
         _tables_covering([as_partition(nu) for nu in nus], m)

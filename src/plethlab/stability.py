@@ -29,6 +29,7 @@ from typing import Iterable, Iterator
 from .partitions import (
     Partition,
     SkewShape,
+    _check_growth_params,
     as_partition,
     as_skew,
     conjugate,
@@ -81,12 +82,7 @@ class SequenceSpec:
     def __post_init__(self):
         object.__setattr__(self, "target", as_skew(self.target))
         object.__setattr__(self, "source", as_skew(self.source))
-        if self.m < 1:
-            raise ValueError(f"m must be positive, got {self.m}")
-        if not 0 <= self.l <= self.m:
-            raise ValueError(f"l must satisfy 0 <= l <= m, got l={self.l}")
-        if self.j_max < 0:
-            raise ValueError(f"j_max must be nonnegative, got {self.j_max}")
+        _check_growth_params(self.l, self.m, self.j_max)
 
     def to_dict(self) -> dict:
         return {

@@ -161,13 +161,19 @@ def test_row_weights_are_scaled_by_m_factorial(m):
 
 def test_incremental_warming_gives_the_one_shot_cap():
     rp.warm_tables([P((9, 3))], 3)
+    # (10, 2) has coefficient 1 in h_4∘h_3 but lies outside the down-set of
+    # (9, 3), the one target
+    assert _plethysm_items(P((4,)), P((3,))).get(P((10, 2))) == 1
+    rp._tables_for(3).ensure("h", 4)
+    assert P((9, 3)) in rp._tables_for(3).tables["h"][4]
+    assert P((10, 2)) not in rp._tables_for(3).tables["h"][4]
     rp.warm_tables([P((9, 3, 1, 1))], 3)
-    assert rp._tables_for(3).cap == (11, 3, 1, 1, 1)
+    assert rp._tables_for(3).cap == (9, 3, 1, 1)
     rp.warm_tables([P((12, 4))], 3)
     incremental = rp._tables_for(3).cap
     rp.reset_tables()
     rp.warm_tables([P((9, 3)), P((9, 3, 1, 1)), P((12, 4))], 3)
-    assert incremental == rp._tables_for(3).cap == (14, 4, 1, 1, 1)
+    assert incremental == rp._tables_for(3).cap == (12, 4, 1, 1)
 
 
 def test_uncued_query_grows_envelope_on_the_fly():
@@ -209,13 +215,8 @@ def test_row_route_against_character_pairing_beyond_full_expansion():
 
 
 # ---------------------------------------------------------------------------
-# The envelope: the union of the slacked targets' down-sets, grown in place
+# The envelope: the union of the targets' down-sets, grown in place
 # ---------------------------------------------------------------------------
-
-
-def _slack(nu):
-    # each target carries two more boxes on row 0 and a trailing row of one box
-    return P((nu[0] + 2, *nu[1:], 1))
 
 
 def _built_tables(batches, levels):
@@ -258,8 +259,9 @@ def test_two_warm_batches_give_the_tables_of_one(batch_a, batch_b, built_before)
     rp.warm_tables(batch_a, 3)
     covered = all(map(rp._tables_for(3).inside, batch_b))
     tables = _built_tables([batch_a, batch_b], [built_before, 6])
-    # a batch already inside the envelope adds nothing; otherwise every
-    # shape of it becomes a target, as in one warm with both batches
+    # a batch already inside the envelope adds nothing; otherwise its shapes
+    # outside the envelope become targets, and the union of the down-sets is
+    # that of one warm with both batches
     targets = batch_a if covered else batch_a + batch_b
     one_shot = _built_tables([targets], [6])
     assert tables.tables == one_shot.tables
@@ -267,11 +269,11 @@ def test_two_warm_batches_give_the_tables_of_one(batch_a, batch_b, built_before)
     for kind in ("h", "e"):
         for a, table in enumerate(tables.tables[kind]):
             for nu, c in table.items():
-                assert any(contains(_slack(t), nu) for t in targets), nu
+                assert any(contains(t, nu) for t in targets), nu
                 assert c == _expected_entry(kind, a, nu), (kind, a, nu)
             if 3 * a <= 15:
                 for nu, c in _plethysm_items(_piece(kind, a), P((3,))).items():
-                    if any(contains(_slack(t), nu) for t in targets):
+                    if any(contains(t, nu) for t in targets):
                         assert table.get(nu) == c, (kind, a, nu)
 
 
@@ -289,9 +291,9 @@ def test_growth_completes_the_built_levels_in_place():
 
 
 def test_an_earlier_query_does_not_widen_a_later_envelope():
-    # a query for (11, 7) targets (13, 7, 1); a row-wise union with the batch's
-    # slacked targets would also hold (15, 6), whose coefficient in the
-    # composition of h_7 with h_3 is 2, though no target contains it
+    # a query for (11, 7) targets (11, 7); a row-wise union with the batch's
+    # targets would also hold (15, 6), whose coefficient in the composition
+    # of h_7 with h_3 is 2, though no target contains it
     assert plethysm_coefficient((11, 7), (6,), (3,)) == _coefficient_by_characters(
         P((11, 7)), P((6,)), P((3,))
     )
@@ -309,7 +311,7 @@ def test_an_earlier_query_does_not_widen_a_later_envelope():
     assert witness not in after_query["h"][7]
     for kind in ("h", "e"):
         for table in after_query[kind]:
-            assert all(any(contains(_slack(t), nu) for t in [P((11, 7)), *batch]) for nu in table)
+            assert all(any(contains(t, nu) for t in [P((11, 7)), *batch]) for nu in table)
 
 
 # ---------------------------------------------------------------------------
