@@ -219,10 +219,14 @@ def grow_skew_line(s: SkewShape, l: int, m: int, j: int) -> SkewShape:
 
 def contains(outer: Iterable[int], inner: Iterable[int]) -> bool:
     """True iff the inner diagram fits inside the outer one, row by row."""
-    outer, inner = as_partition(outer), as_partition(inner)
+    if not (type(outer) is type(inner) is Partition):
+        outer, inner = as_partition(outer), as_partition(inner)
     if len(inner) > len(outer):
         return False
-    return all(inner[i] <= outer[i] for i in range(len(inner)))
+    for a, b in zip(inner, outer):
+        if a > b:
+            return False
+    return True
 
 
 def dominates(a: Iterable[int], b: Iterable[int]) -> bool:

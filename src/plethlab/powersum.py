@@ -10,9 +10,6 @@ on beta numbers (the Murnaghan-Nakayama rule read forwards) and sharing
 common prefixes Horner-fashion over a trie of the indices; each total is
 divided by D exactly. ``Fraction`` appears only in the public functions that
 take or return rational weights, and nothing here touches floating point.
-
-The same evaluator :func:`_horner`, started from a base expansion in place
-of the empty Schur function, builds the row tables of :mod:`row_plethysm`.
 """
 
 from __future__ import annotations
@@ -22,7 +19,7 @@ from fractions import Fraction
 from functools import cache
 from math import factorial, lcm
 from types import MappingProxyType
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Iterable, Mapping
 
 from .partitions import ExactnessError, Partition, as_partition, partitions_of
 
@@ -46,19 +43,16 @@ def _strip_additions(
     """All ways to add a border strip of k boxes inside cap: (bigger, sign) pairs.
 
     This is multiplication of a Schur function by the power sum p_k, the
-    step of :func:`_horner`, which evaluates both the full expansions of
-    :func:`powersum_to_schur` and the row tables of :mod:`row_plethysm`.
-    Mirror image of border-strip removal on the beta numbers, taken with the
-    fixed length ``len(cap)``, so a shape with more rows than the cap cannot
-    be formed. Moving the beta number of row i up by k to a free slot lands
-    it in row p, shifts rows p..i-1 down by one row (each gains a box) and
-    has sign (-1)^(i-p). A move is rejected before its shape is built when
-    the new part at p or a shifted row would exceed its cap. The shape must
-    lie inside the cap, as every caller's does, so only its row count is
-    checked: full expansions fill the n×n box, and :func:`_horner` strips
-    a row-table shape only when it passes the shape test, which admits only
-    shapes below some envelope target, and the cap is the row-wise maximum
-    of those targets.
+    step of :func:`_horner`, which evaluates the full expansions of
+    :func:`powersum_to_schur`. Mirror image of border-strip removal on the
+    beta numbers, taken with the fixed length ``len(cap)``, so a shape with
+    more rows than the cap cannot be formed. Moving the beta number of row
+    i up by k to a free slot lands it in row p, shifts rows p..i-1 down by
+    one row (each gains a box) and has sign (-1)^(i-p). A move is rejected
+    before its shape is built when the new part at p or a shifted row would
+    exceed its cap. The shape must lie inside the cap, as every caller's
+    does, so only its row count is checked: :func:`_horner` starts from
+    shapes inside the cap and strips only the shapes this function built.
     """
     if len(shape) > len(cap):
         return ()
@@ -236,28 +230,19 @@ def _trie(terms: Iterable[tuple[tuple[int, ...], int]]) -> list:
     return root
 
 
-def _horner(
-    node: list,
-    cap: tuple[int, ...],
-    base: Mapping,
-    out: defaultdict,
-    inside: Callable[[Partition], bool] | None = None,
-) -> defaultdict:
+def _horner(node: list, cap: tuple[int, ...], base: Mapping, out: defaultdict) -> defaultdict:
     """Add Σ w·p_indices·base over the power sums of the trie into out; returns out.
     A node [w, {a: child}] gives w·base + Σ_a p_a·(the child's sum), each p_a
     adding border strips inside cap to the shapes whose coefficient is nonzero.
-
-    With a shape test ``inside`` (a down-closed set: the row tables'
-    envelope), a shape that fails it gets no strips: every shape grown from
-    it fails too. Totals at shapes that fail it are then partial sums, which
-    the caller drops."""
+    The shapes of base must lie inside cap; the full expansions start from
+    base s_∅ (:func:`_to_schur`)."""
     weight, children = node
     if weight:
         for shape, c in base.items():
             out[shape] += weight * c
     for a, child in children.items():
-        for shape, c in _horner(child, cap, base, defaultdict(int), inside).items():
-            if c and (inside is None or inside(shape)):
+        for shape, c in _horner(child, cap, base, defaultdict(int)).items():
+            if c:
                 for bigger, sign in _strip_additions(shape, a, cap):
                     out[bigger] += sign * c
     return out

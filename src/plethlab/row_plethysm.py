@@ -19,20 +19,20 @@ factor:
   partitions whose Frobenius arm lengths exceed the leg lengths by exactly
   one, both with multiplicity one;
 * for larger rows the one-piece compositions are tabulated by Newton's
-  identities lifted through the composition, keeping full Schur expansions
-  pruned to an envelope: exactly the union of the down-sets of the shapes
-  warmed or queried. Pruning is sound because multiplying by a power sum
-  only adds boxes, so a coefficient inside a downward-closed envelope
-  depends only on coefficients inside it, and a new target's down-set can
-  be added to the tables later on its own. The multiplication (``_horner``
-  of :mod:`powersum`, which also evaluates the full expansions) adds
-  border strips on beta numbers of fixed length ``len(cap)``, where the
-  "cap" is the targets' row-wise maximum, and rejects a move before
-  building its shape when the shape would leave the cap; a shape inside
-  the cap but outside the envelope gets no further strips, and its partial
-  total is dropped. The sums run in integers scaled by m!, which every
-  centralizer order z divides, with one exact division per table entry at
-  the end.
+  identities lifted through the composition: since p_r composed with h_m is
+  h_m[p_r], the step is b·T_b = Σ_r ±h_m[p_r]·T_(b-r), and each product
+  by h_m[p_r] is read off a signed sum over horizontal strips of m ribbons
+  of size r (Lascoux, Leclerc and Thibon, J. Math. Phys. 38 (1997); a case
+  of the generalised Murnaghan-Nakayama rule of Evseev, Paget and Wildon).
+  Everything is an integer, and each entry is divided by b exactly. The
+  full Schur expansions are kept pruned to an envelope: exactly the union
+  of the down-sets of the shapes warmed or queried. Pruning is sound
+  because a ribbon strip only adds boxes, so a coefficient inside a
+  downward-closed envelope depends only on coefficients inside it, and a
+  new target's down-set can be added to the tables later on its own. The
+  strips move beads on beta numbers of fixed length ``len(cap)``, where
+  the "cap" is the targets' row-wise maximum, and a branch ends at the
+  first ribbon whose shape leaves the envelope.
 
 The route declines (returns None) when the outer shape is not thin enough or
 a determinant term would carry two large factors; callers then fall back to
@@ -50,11 +50,8 @@ from .lr import _jacobi_trudi_terms, dual_pieri_expansion
 from .partitions import Partition, as_partition
 from .powersum import (
     _exact_quotients,
-    _horner,
-    _integral_schur,
     _plethysm_items,
     _strip_additions,  # noqa: F401  perfbench/layers.py reads the kernel's cache here
-    _trie,
 )
 
 __all__ = ["row_coefficient", "warm_tables", "reset_tables"]
@@ -122,31 +119,81 @@ class _DownSet(dict):
         return found
 
 
+def _add_ribbon_strips(
+    acc: defaultdict, shape: Partition, c: int, r: int, m: int, n: int, inside: Callable
+) -> None:
+    """Add c·s_shape·h_m[p_r] into acc, on the shapes that pass inside.
+
+    By the rule of Lascoux, Leclerc and Thibon, the product is the signed
+    sum of s_ν over the horizontal strips ν/shape of m ribbons of size r.
+    On n beta numbers a bead rises by d·r, where d is at most the number of
+    free slots on its runner (its residue mod r) up to the next bead of that
+    runner in shape, and the d's add up to m. The beads move in decreasing
+    order of their original positions, one r-step at a time; each step is
+    the border strip of :func:`_strip_additions`, with sign (-1)^(beads
+    passed). Every intermediate shape lies inside the final one, so a step
+    whose shape fails inside (a down-closed test) ends its branch.
+    """
+    parts = list(shape) + [0] * (n - len(shape))
+    # a bead at part - row: the beta number less n - 1, so runners and gaps are kept
+    movable, top = [], {}
+    for i, part in enumerate(parts):
+        bead = part - i
+        above = top.get(bead % r)
+        room = m if above is None else min(m, (above - bead) // r - 1)
+        if room:
+            movable.append((i, room))
+        top[bead % r] = bead
+
+    def place(first: int, left: int, parts: list[int], length: int, c: int) -> None:
+        for at in range(first, len(movable)):
+            # bead i still sits in row i: the beads above it moved up or stayed
+            i, room = movable[at]
+            q, moved, signed = i, parts, c
+            rows = length if length > i else i + 1
+            for d in range(1, (room if room < left else left) + 1):
+                bead = moved[q] - q + r
+                p = q
+                while p and moved[p - 1] - p + 1 < bead:
+                    p -= 1
+                moved = moved[:p] + [bead + p] + [x + 1 for x in moved[p:q]] + moved[q + 1:]
+                if (q - p) % 2:
+                    signed = -signed
+                q = p
+                bigger = tuple.__new__(Partition, moved[:rows])
+                if not inside(bigger):
+                    break
+                if d == left:
+                    acc[bigger] += signed
+                else:
+                    place(at + 1, left - d, moved, rows, signed)
+
+    place(0, m, parts, len(shape), c)
+
+
 class _RowTables:
     """Schur expansions of the one-piece compositions on an envelope.
 
     The envelope is the union of the down-sets of the targets, the shapes
     warmed or queried so far that lay outside it when they came.
     ``inside(shape)`` tests membership, and ``cap``, the targets' row-wise
-    maximum, bounds the strip kernel. ``tables[kind][a]`` maps each
+    maximum, gives the number of beta numbers. ``tables[kind][a]`` maps each
     partition inside the envelope to its coefficient in the composition of
-    (h_a or e_a) with the one-row shape. Table a is built from tables a-1,
-    ..., 0 by Newton's identity: for each r, :func:`_horner` multiplies
-    table a-r by the composed power sums p_(r·κ) over a trie, walking only
-    shapes inside the envelope. The weights are the row shape's m!/z_κ from
-    :func:`_integral_schur`, and :func:`_exact_quotients` divides each entry
-    by m!·a once and raises on a remainder. Coefficients inside the envelope
-    are exact. A new target extends every built table in place
-    (:meth:`extend_cap`), so the tables are never reset, though a growth
-    recomputes the entries of the old envelope that lie below a new target.
+    (h_a or e_a) with the one-row shape h_m. Table a is built from tables
+    a-1, ..., 0 by Newton's identity: for each r, :func:`_add_ribbon_strips`
+    multiplies each entry of table a-r inside the envelope by h_m[p_r], and
+    :func:`_exact_quotients` divides each total by a once and raises on a
+    remainder. Coefficients inside the envelope are exact. A new target
+    extends every built table in place (:meth:`extend_cap`), so the tables
+    are never reset, though a growth recomputes the entries of the old
+    envelope that lie below a new target.
     """
 
     def __init__(self, m: int):
         self._targets: tuple[Partition, ...] = ()
         envelope = _DownSet(self._targets)
         self.inside, self.cap = envelope.__getitem__, envelope.cap
-        self._scale, weights = _integral_schur(Partition((m,)))
-        self._row_pexp = tuple(weights.items())
+        self._m = m
         one = {Partition(): 1}
         self.tables: dict[str, list[dict[Partition, int]]] = {
             "h": [dict(one)],
@@ -172,33 +219,27 @@ class _RowTables:
         grown = _DownSet(new).__getitem__
         for kind, tabs in self.tables.items():
             for b in range(1, len(tabs)):
-                tabs[b].update(_exact_quotients(self._newton(kind, b, grown), self._scale * b))
+                tabs[b].update(_exact_quotients(self._newton(kind, b, grown), b))
 
     def _newton(
         self, kind: str, b: int, inside: Callable[[Partition], bool]
     ) -> dict[Partition, int]:
-        """m!·b times table b on the shapes that pass inside (a down-closed
+        """b times table b on the shapes that pass inside (a down-closed
         test), from the lower tables' entries that pass it."""
-        tabs = self.tables[kind]
+        tabs, n, m = self.tables[kind], len(self.cap), self._m
         acc: defaultdict[Partition, int] = defaultdict(int)
         for r in range(1, b + 1):
             sign = 1 if kind == "h" else (-1) ** (r - 1)
-            # increasing parts, so Horner adds the largest strip first; the
-            # reverse order builds 14% more kernel entries on the default scan
-            trie = _trie(
-                (sorted(r * part for part in kappa), sign * weight)
-                for kappa, weight in self._row_pexp
-            )
-            base = {s: c for s, c in tabs[b - r].items() if inside(s)}
-            _horner(trie, self.cap, base, acc, inside)
-        # shapes outside hold partial sums: drop them before dividing
-        return {s: t for s, t in acc.items() if inside(s)}
+            for shape, c in tabs[b - r].items():
+                if inside(shape):
+                    _add_ribbon_strips(acc, shape, sign * c, r, m, n, inside)
+        return acc
 
     def ensure(self, kind: str, a: int) -> None:
         tabs = self.tables[kind]
         while len(tabs) <= a:
             b = len(tabs)
-            tabs.append(_exact_quotients(self._newton(kind, b, self.inside), self._scale * b))
+            tabs.append(_exact_quotients(self._newton(kind, b, self.inside), b))
 
 
 _tables_for = cache(_RowTables)

@@ -196,6 +196,17 @@ def test_m4_scan_output_is_pinned(capsys):
     )
 
 
+def test_m5_scan_output_is_pinned(capsys):
+    # m = 5 row tables, built by horizontal strips of five ribbons
+    assert cli.main(["scan", "--m", "5", "--tau-sizes", "0,1,2", "--jmax", "9"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 553
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "f77e980af446c75f06bec043b3eaf3cd3ca16f59acf3d8faa0a8547873475720"
+    )
+
+
 def test_coeff_oracle_mismatch_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(cli, "plethysm_oracle", lambda lam, mu: {})
     code, (rec,) = run_main(capsys, "coeff", "--nu", "4", "--lambda", "2", "--mu", "2", "--oracle")

@@ -7,7 +7,8 @@ agreement on overlapping domains is strong evidence for both.
 import os
 import subprocess
 import sys
-from math import factorial
+from collections import defaultdict
+from itertools import zip_longest
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,7 @@ from plethlab import (
 )
 from plethlab.plethysm import _coefficient_by_characters, _plethysm_items, plethysm_coefficient
 from plethlab import row_plethysm as rp
+from plethlab.powersum import _exact_quotients, _horner, _integral_schur, _trie
 
 P = Partition
 
@@ -152,11 +154,6 @@ def test_covered_queries_never_rebuild_the_envelope(monkeypatch):
     assert rp.row_coefficient(uncovered, lam, 3) == expected.get(uncovered, 0)
     assert rebuilds[1:] == [[uncovered]]
     assert all(contains(rp._tables_for(3).cap, nu) for nu in [*targets, uncovered])
-
-
-@pytest.mark.parametrize("m", range(1, 7))
-def test_row_weights_are_scaled_by_m_factorial(m):
-    assert rp._RowTables(m)._scale == factorial(m)
 
 
 def test_incremental_warming_gives_the_one_shot_cap():
@@ -392,6 +389,43 @@ def test_no_strip_is_added_to_a_shape_outside_the_cap():
 
 
 # ---------------------------------------------------------------------------
+# The ribbon-strip kernel against the power-sum Horner
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def ribbon_case(draw):
+    """(μ, r, m, targets): μ inside every target, each target μ widened row-wise."""
+    mu = P(sorted(draw(st.lists(st.integers(0, 5), max_size=4)), reverse=True))
+    r, m = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    targets = []
+    for _ in range(draw(st.integers(1, 3))):
+        extra = draw(st.lists(st.integers(0, r * m), min_size=len(mu) + 2, max_size=len(mu) + 2))
+        widened = (a + b for a, b in zip_longest(mu, extra, fillvalue=0))
+        targets.append(P(sorted(widened, reverse=True)))
+    return mu, r, m, targets
+
+
+@given(ribbon_case())
+@settings(max_examples=120, deadline=None)
+def test_ribbon_strips_match_horner_over_the_power_sums(case):
+    # s_μ·h_m[p_r] is s_μ times Σ_κ (m!/z_κ)·p_(r·κ) / m!, on a down-set
+    mu, r, m, targets = case
+    envelope = rp._DownSet(tuple(targets))
+    inside, cap = envelope.__getitem__, envelope.cap
+    scale, weights = _integral_schur(P((m,)))
+    trie = _trie((sorted(r * part for part in kappa), w) for kappa, w in weights.items())
+    totals = _horner(trie, cap, {mu: 1}, defaultdict(int))
+    expected = _exact_quotients({nu: t for nu, t in totals.items() if inside(nu)}, scale)
+    got: defaultdict[Partition, int] = defaultdict(int)
+    rp._add_ribbon_strips(got, mu, 1, r, m, len(cap), inside)
+    # each strip is reached once, so nothing cancels
+    assert dict(got) == expected
+    if m == 1:
+        assert expected == {nu: sign for nu, sign in rp._strip_additions(mu, r, cap) if inside(nu)}
+
+
+# ---------------------------------------------------------------------------
 # Random m = 3 queries across independent routes
 # ---------------------------------------------------------------------------
 
@@ -455,7 +489,7 @@ def test_m2_closed_forms_match_character_pairing_on_random_inputs(data):
 # Integrality checks without assertions
 # ---------------------------------------------------------------------------
 
-_CORRUPTED_WEIGHTS = """
+_CORRUPTED_ENTRY = """
 import sys
 
 from plethlab import ExactnessError, Partition
@@ -466,14 +500,14 @@ if not sys.flags.optimize:
 
 tables = rp._RowTables(3)
 tables.extend_cap([Partition((9, 3))])
-kappa, weight = tables._row_pexp[0]
-tables._row_pexp = ((kappa, weight + 1),) + tables._row_pexp[1:]
+tables.ensure("h", 1)
+tables.tables["h"][1][Partition((3,))] += 1
 try:
-    tables.ensure("h", 3)
+    tables.ensure("h", 2)
 except ExactnessError:
     pass
 else:
-    sys.exit("a corrupted m!/z weight was not detected")
+    sys.exit("a corrupted lower table entry was not detected")
 """
 
 
@@ -482,7 +516,7 @@ def test_integrality_checks_fire_under_python_O():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", _CORRUPTED_WEIGHTS],
+        [sys.executable, "-O", "-c", _CORRUPTED_ENTRY],
         capture_output=True,
         text=True,
         env=env,
