@@ -9,6 +9,7 @@ import subprocess
 import sys
 from collections import defaultdict
 from itertools import zip_longest
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -423,6 +424,24 @@ def test_ribbon_strips_match_horner_over_the_power_sums(case):
     assert dict(got) == expected
     if m == 1:
         assert expected == {nu: sign for nu, sign in rp._strip_additions(mu, r, cap) if inside(nu)}
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_row_weights_are_scaled_by_m_factorial(m):
+    # the row shape's power-sum weights m!/z_κ are integers summing to m!;
+    # over m! they give h_m[p_r], which the ribbon strips build from s_∅
+    scale, weights = _integral_schur(P((m,)))
+    assert scale == factorial(m) == sum(weights.values())
+    assert set(weights) == set(partitions_of(m)) and all(w > 0 for w in weights.values())
+    for r in (1, 2):
+        envelope = rp._DownSet(tuple(partitions_of(r * m)))
+        trie = _trie((sorted(r * part for part in kappa), w) for kappa, w in weights.items())
+        totals = _horner(trie, envelope.cap, {P(()): 1}, defaultdict(int))
+        got: defaultdict[Partition, int] = defaultdict(int)
+        rp._add_ribbon_strips(got, P(()), 1, r, m, len(envelope.cap), envelope.__getitem__)
+        assert dict(got) == _exact_quotients(totals, scale)
+    # h_m[p_2] is a signed sum over the domino strips, s_(2m) among them
+    assert got[P((2 * m,))] == 1
 
 
 # ---------------------------------------------------------------------------
