@@ -8,8 +8,11 @@ the indices) keeps the weights integral. Back in the Schur basis, the empty
 Schur function is multiplied by each power sum in turn, adding border strips
 on beta numbers (the Murnaghan-Nakayama rule read forwards) and sharing
 common prefixes Horner-fashion over a trie of the indices; each total is
-divided by D exactly. ``Fraction`` appears only in the public functions that
-take or return rational weights, and nothing here touches floating point.
+divided by D exactly. One kernel adds strips on beta numbers, with no cap:
+a border strip is its one-ribbon case, and the row tables of
+``row_plethysm`` use it for horizontal strips of ribbons. ``Fraction``
+appears only in the public functions that take or return rational weights,
+and nothing here touches floating point.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from fractions import Fraction
 from functools import cache
 from math import factorial, lcm
 from types import MappingProxyType
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from .partitions import ExactnessError, Partition, as_partition, partitions_of
 
@@ -36,58 +39,83 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@cache
-def _strip_additions(
-    shape: Partition, k: int, cap: tuple[int, ...]
-) -> tuple[tuple[Partition, int], ...]:
-    """All ways to add a border strip of k boxes inside cap: (bigger, sign) pairs.
+def _add_ribbon_strips(
+    acc: defaultdict, shape: Partition, c: int, r: int, m: int, n: int, inside: Callable
+) -> None:
+    """Add c·s_shape·h_m[p_r] into acc, on the shapes that pass inside.
 
-    This is multiplication of a Schur function by the power sum p_k, the
-    step of :func:`_horner`, which evaluates the full expansions of
-    :func:`powersum_to_schur`. Mirror image of border-strip removal on the
-    beta numbers, taken with the fixed length ``len(cap)``, so a shape with
-    more rows than the cap cannot be formed. Moving the beta number of row
-    i up by k to a free slot lands it in row p, shifts rows p..i-1 down by
-    one row (each gains a box) and has sign (-1)^(i-p). A move is rejected
-    before its shape is built when the new part at p or a shifted row would
-    exceed its cap. The shape must lie inside the cap, as every caller's
-    does, so only its row count is checked: :func:`_horner` starts from
-    shapes inside the cap and strips only the shapes this function built.
+    By the rule of Lascoux, Leclerc and Thibon, the product is the signed
+    sum of s_ν over the horizontal strips ν/shape of m ribbons of size r.
+    On n beta numbers a bead rises by d·r, where d is at most the number of
+    free slots on its runner (its residue mod r) up to the next bead of that
+    runner in shape, and the d's add up to m. The beads move in decreasing
+    order of their original positions, one r-step at a time; each step adds
+    a border strip of r boxes, with sign (-1)^(beads passed). Every
+    intermediate shape lies inside the final one, so a step whose shape
+    fails inside (a down-closed test) ends its branch.
     """
-    if len(shape) > len(cap):
-        return ()
-    n, length = len(cap), len(shape)
-    parts = list(shape) + [0] * (n - length)
-    beta = [parts[i] + n - 1 - i for i in range(n)]
-    out = []
-    # a row at or past length + k would land on an occupied beta number
-    for i in range(min(n, length + k)):
-        nb = beta[i] + k
-        p = i
-        while p and beta[p - 1] < nb and parts[p - 1] < cap[p]:
-            p -= 1
-        if p and beta[p - 1] <= nb:
-            continue  # slot taken, or row p-1 cannot shift down within the cap
-        new = parts[i] + k - (i - p)
-        if new > cap[p]:
-            continue
-        bigger = parts[:p]
-        bigger.append(new)
-        bigger += [x + 1 for x in parts[p:i]]
-        bigger += parts[i + 1:max(length, i + 1)]
-        # canonical by construction: weakly decreasing, no trailing zeros
-        out.append((tuple.__new__(Partition, bigger), -1 if (i - p) % 2 else 1))
-    return tuple(out)
+    parts = list(shape) + [0] * (n - len(shape))
+    # a bead at part - row: the beta number less n - 1, so runners and gaps are kept
+    movable, top = [], {}
+    for i, part in enumerate(parts):
+        bead = part - i
+        above = top.get(bead % r)
+        room = m if above is None else min(m, (above - bead) // r - 1)
+        if room:
+            movable.append((i, room))
+        top[bead % r] = bead
+
+    def place(first: int, left: int, parts: list[int], length: int, c: int) -> None:
+        for at in range(first, len(movable)):
+            # bead i still sits in row i: the beads above it moved up or stayed
+            i, room = movable[at]
+            q, moved, signed = i, parts, c
+            rows = length if length > i else i + 1
+            for d in range(1, (room if room < left else left) + 1):
+                bead = moved[q] - q + r
+                p = q
+                while p and moved[p - 1] - p + 1 < bead:
+                    p -= 1
+                moved = moved[:p] + [bead + p] + [x + 1 for x in moved[p:q]] + moved[q + 1:]
+                if (q - p) % 2:
+                    signed = -signed
+                q = p
+                bigger = tuple.__new__(Partition, moved[:rows])
+                if not inside(bigger):
+                    break
+                if d == left:
+                    acc[bigger] += signed
+                else:
+                    place(at + 1, left - d, moved, rows, signed)
+
+    place(0, m, parts, len(shape), c)
+
+
+@cache
+def _strip_additions(shape: Partition, k: int) -> tuple[tuple[Partition, int], ...]:
+    """All ways to add a border strip of k boxes: (bigger, sign) pairs.
+
+    This is multiplication of a Schur function by p_k = h_1[p_k], the step
+    of :func:`_horner`: the one-ribbon case m = 1 of the rule of Lascoux,
+    Leclerc and Thibon (J. Math. Phys. 38, 1997) in
+    :func:`_add_ribbon_strips`, that is the Murnaghan-Nakayama rule read
+    forwards. A strip of k boxes adds at most k rows, so ``len(shape) + k``
+    beta numbers hold every result.
+    """
+    acc: defaultdict[Partition, int] = defaultdict(int)
+    _add_ribbon_strips(acc, shape, 1, k, 1, len(shape) + k, lambda bigger: True)
+    return tuple(acc.items())
 
 
 @cache
 def _strip_removals(lam: Partition, k: int) -> tuple[tuple[Partition, int], ...]:
     """All ways to remove a border strip of k boxes: (rest, sign) pairs.
 
-    Mirror image of :func:`_strip_additions`. Moving the beta number of row
-    i down by k to a free slot lands it in row q-1, below the q-1-i beta
-    numbers it passes: rows i+1..q-1 move up one row and each lose a box,
-    and the sign is (-1)^(q-1-i).
+    Mirror image of :func:`_strip_additions`: (bigger, s) is among the
+    additions to shape exactly when (shape, s) is among the removals from
+    bigger. Moving the beta number of row i down by k to a free slot lands
+    it in row q-1, below the q-1-i beta numbers it passes: rows i+1..q-1
+    move up one row and each lose a box, and the sign is (-1)^(q-1-i).
     """
     L = len(lam)
     beta = [lam[i] + (L - 1 - i) for i in range(L)]
@@ -230,20 +258,19 @@ def _trie(terms: Iterable[tuple[tuple[int, ...], int]]) -> list:
     return root
 
 
-def _horner(node: list, cap: tuple[int, ...], base: Mapping, out: defaultdict) -> defaultdict:
+def _horner(node: list, base: Mapping, out: defaultdict) -> defaultdict:
     """Add Σ w·p_indices·base over the power sums of the trie into out; returns out.
     A node [w, {a: child}] gives w·base + Σ_a p_a·(the child's sum), each p_a
-    adding border strips inside cap to the shapes whose coefficient is nonzero.
-    The shapes of base must lie inside cap; the full expansions start from
-    base s_∅ (:func:`_to_schur`)."""
+    adding border strips to the shapes whose coefficient is nonzero. The full
+    expansions start from base s_∅ (:func:`_to_schur`)."""
     weight, children = node
     if weight:
         for shape, c in base.items():
             out[shape] += weight * c
     for a, child in children.items():
-        for shape, c in _horner(child, cap, base, defaultdict(int)).items():
+        for shape, c in _horner(child, base, defaultdict(int)).items():
             if c:
-                for bigger, sign in _strip_additions(shape, a, cap):
+                for bigger, sign in _strip_additions(shape, a):
                     out[bigger] += sign * c
     return out
 
@@ -260,16 +287,16 @@ def _exact_quotients(totals: Mapping, denom: int) -> dict:
     return out
 
 
-def _to_schur(degree: int, denom: int, f: Mapping[Partition, int]) -> dict[Partition, int]:
-    """Schur expansion of f/denom, for f an integral power-sum expansion of the degree.
+def _to_schur(denom: int, f: Mapping[Partition, int]) -> dict[Partition, int]:
+    """Schur expansion of f/denom, for f a homogeneous integral power-sum expansion.
 
     The power sums are gathered into a trie by their indices, parts in
     decreasing order, and :func:`_horner` multiplies them onto s_∅ by border
-    strip additions (inside the n×n box, which prunes nothing at degree n).
-    Each total is divided by denom exactly; a remainder means f/denom is not
-    an integral symmetric function and raises :class:`ExactnessError`.
+    strip additions. Each total is divided by denom exactly; a remainder
+    means f/denom is not an integral symmetric function and raises
+    :class:`ExactnessError`.
     """
-    totals = _horner(_trie(f.items()), (degree,) * degree, {Partition(): 1}, defaultdict(int))
+    totals = _horner(_trie(f.items()), {Partition(): 1}, defaultdict(int))
     return _exact_quotients(totals, denom)
 
 
@@ -285,7 +312,7 @@ def powersum_to_schur(f) -> dict[Partition, int]:
     denom = lcm(*(c.denominator for c in f.values()))
     scaled = {mu: c.numerator * (denom // c.denominator) for mu, c in f.items()}
     # descending tuple order is the reverse-lexicographic order of partitions_of
-    return dict(sorted(_to_schur(degrees.pop(), denom, scaled).items(), reverse=True))
+    return dict(sorted(_to_schur(denom, scaled).items(), reverse=True))
 
 
 # ---------------------------------------------------------------------------
@@ -306,5 +333,5 @@ def _plethysm_items(lam: Partition, mu: Partition) -> Mapping[Partition, int]:
     """Read-only full Schur expansion, keys in increasing order. The
     composition is left uncached, since this expansion is cached itself."""
     composed = _compose(*_integral_schur(lam), *_integral_schur(mu))
-    schur = _to_schur(lam.size * mu.size, *composed)
+    schur = _to_schur(*composed)
     return MappingProxyType(dict(sorted(schur.items())))

@@ -30,9 +30,9 @@ factor:
   because a ribbon strip only adds boxes, so a coefficient inside a
   downward-closed envelope depends only on coefficients inside it, and a
   new target's down-set can be added to the tables later on its own. The
-  strips move beads on beta numbers of fixed length ``len(cap)``, where
-  the "cap" is the targets' row-wise maximum, and a branch ends at the
-  first ribbon whose shape leaves the envelope.
+  strip kernel of :mod:`powersum` moves beads on ``len(cap)`` beta numbers,
+  where the "cap" is the targets' row-wise maximum, and a branch ends at
+  the first ribbon whose shape leaves the envelope.
 
 The route declines (returns None) when the outer shape is not thin enough or
 a determinant term would carry two large factors; callers then fall back to
@@ -49,9 +49,10 @@ from typing import Callable, Iterable
 from .lr import _jacobi_trudi_terms, dual_pieri_expansion
 from .partitions import Partition, as_partition
 from .powersum import (
+    _add_ribbon_strips,
     _exact_quotients,
     _plethysm_items,
-    _strip_additions,  # noqa: F401  perfbench/layers.py reads the kernel's cache here
+    _strip_additions,  # noqa: F401  perfbench/layers.py reads the border-strip cache here
 )
 
 __all__ = ["row_coefficient", "warm_tables", "reset_tables"]
@@ -117,58 +118,6 @@ class _DownSet(dict):
             hit &= row[part] if part < len(row) else 0
         self[shape] = found = hit != 0
         return found
-
-
-def _add_ribbon_strips(
-    acc: defaultdict, shape: Partition, c: int, r: int, m: int, n: int, inside: Callable
-) -> None:
-    """Add c·s_shape·h_m[p_r] into acc, on the shapes that pass inside.
-
-    By the rule of Lascoux, Leclerc and Thibon, the product is the signed
-    sum of s_ν over the horizontal strips ν/shape of m ribbons of size r.
-    On n beta numbers a bead rises by d·r, where d is at most the number of
-    free slots on its runner (its residue mod r) up to the next bead of that
-    runner in shape, and the d's add up to m. The beads move in decreasing
-    order of their original positions, one r-step at a time; each step is
-    the border strip of :func:`_strip_additions`, with sign (-1)^(beads
-    passed). Every intermediate shape lies inside the final one, so a step
-    whose shape fails inside (a down-closed test) ends its branch.
-    """
-    parts = list(shape) + [0] * (n - len(shape))
-    # a bead at part - row: the beta number less n - 1, so runners and gaps are kept
-    movable, top = [], {}
-    for i, part in enumerate(parts):
-        bead = part - i
-        above = top.get(bead % r)
-        room = m if above is None else min(m, (above - bead) // r - 1)
-        if room:
-            movable.append((i, room))
-        top[bead % r] = bead
-
-    def place(first: int, left: int, parts: list[int], length: int, c: int) -> None:
-        for at in range(first, len(movable)):
-            # bead i still sits in row i: the beads above it moved up or stayed
-            i, room = movable[at]
-            q, moved, signed = i, parts, c
-            rows = length if length > i else i + 1
-            for d in range(1, (room if room < left else left) + 1):
-                bead = moved[q] - q + r
-                p = q
-                while p and moved[p - 1] - p + 1 < bead:
-                    p -= 1
-                moved = moved[:p] + [bead + p] + [x + 1 for x in moved[p:q]] + moved[q + 1:]
-                if (q - p) % 2:
-                    signed = -signed
-                q = p
-                bigger = tuple.__new__(Partition, moved[:rows])
-                if not inside(bigger):
-                    break
-                if d == left:
-                    acc[bigger] += signed
-                else:
-                    place(at + 1, left - d, moved, rows, signed)
-
-    place(0, m, parts, len(shape), c)
 
 
 class _RowTables:

@@ -35,15 +35,32 @@ if missing:
 """
 
 
-def test_tracer_installs_without_a_note():
+# the counter reads the cache of the border-strip step; a full expansion must move it
+_COUNT_STRIPS = """
+plethlab.plethysm_schur((2,), (3,))
+if not tracer.metrics(0.0)["row_plethysm.strip_additions.built"]:
+    sys.exit("row_plethysm.strip_additions.built stayed 0 over a full expansion")
+"""
+
+
+def _run_tracer(script: str) -> subprocess.CompletedProcess:
     src = str(Path(plethlab.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-c", _INSTALL_TRACER, str(ROOT / "perfbench")],
+    return subprocess.run(
+        [sys.executable, "-c", script, str(ROOT / "perfbench")],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
     )
+
+
+def test_tracer_installs_without_a_note():
+    proc = _run_tracer(_INSTALL_TRACER)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_tracer_counts_the_border_strips_of_a_full_expansion():
+    proc = _run_tracer(_INSTALL_TRACER + _COUNT_STRIPS)
     assert proc.returncode == 0, proc.stderr

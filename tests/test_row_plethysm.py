@@ -28,7 +28,7 @@ from plethlab import (
 )
 from plethlab.plethysm import _coefficient_by_characters, _plethysm_items, plethysm_coefficient
 from plethlab import row_plethysm as rp
-from plethlab.powersum import _exact_quotients, _horner, _integral_schur, _trie
+from plethlab.powersum import _exact_quotients, _horner, _integral_schur, _strip_removals, _trie
 
 P = Partition
 
@@ -313,34 +313,27 @@ def test_an_earlier_query_does_not_widen_a_later_envelope():
 
 
 # ---------------------------------------------------------------------------
-# The capped strip-addition kernel against a brute-force reference
+# The border-strip kernel against a brute-force reference
 # ---------------------------------------------------------------------------
 
-
-@st.composite
-def shape_inside_cap(draw):
-    cap = tuple(sorted(draw(st.lists(st.integers(1, 7), min_size=1, max_size=6)), reverse=True))
-    parts = []
-    for bound in cap:
-        part = draw(st.integers(0, min(bound, parts[-1]) if parts else bound))
-        if not part:
-            break
-        parts.append(part)
-    return P(parts), cap
+small_shapes = st.lists(st.integers(1, 7), max_size=6).map(
+    lambda parts: P(sorted(parts, reverse=True))
+)
 
 
-def _capped_supersets(inner, cap, size):
-    """Every partition of size inside cap that contains inner."""
+def _supersets_in_box(inner, width, height, size):
+    """Every partition of size with at most height rows of at most width
+    boxes that contains inner."""
     out = []
 
     def rec(prefix, left):
         i = len(prefix)
-        if i == len(cap) or not left:
+        if i == height or not left:
             if not left and contains(P(prefix), inner):
                 out.append(P(prefix))
             return
-        high = min(cap[i], prefix[-1] if prefix else cap[i], left)
-        for part in range(high, 0, -1):
+        low = max(inner[i] if i < len(inner) else 0, 1)
+        for part in range(min(prefix[-1] if prefix else width, left), low - 1, -1):
             rec(prefix + [part], left - part)
 
     rec([], size)
@@ -369,24 +362,40 @@ def _border_strip_sign(outer, inner):
     return -1 if len({r for r, _ in cells}) % 2 == 0 else 1
 
 
-@given(shape_inside_cap(), st.integers(1, 8))
+@given(small_shapes, st.integers(1, 8))
 @settings(max_examples=150, deadline=None)
-def test_capped_strip_additions_match_brute_force(shape_cap, k):
-    shape, cap = shape_cap
+def test_strip_additions_match_brute_force(shape, k):
+    # a strip of k boxes widens the first row and adds rows by at most k each
+    width, height = (shape[0] if shape else 0) + k, len(shape) + k
     expected = set()
-    for nu in _capped_supersets(shape, cap, shape.size + k):
+    for nu in _supersets_in_box(shape, width, height, shape.size + k):
         sign = _border_strip_sign(nu, shape)
         if sign is not None:
             expected.add((nu, sign))
-    got = rp._strip_additions(shape, k, cap)
+    got = rp._strip_additions(shape, k)
     assert len(got) == len(set(got))
     assert set(got) == expected
     for nu, _ in got:
         assert type(nu) is Partition and tuple(nu) == tuple(Partition(nu))
 
 
-def test_no_strip_is_added_to_a_shape_outside_the_cap():
-    assert rp._strip_additions(P((1, 1, 1)), 1, (3, 3)) == ()
+def test_a_strip_may_add_k_rows():
+    # the vertical strip needs all len(shape) + k beads
+    assert set(rp._strip_additions(P((1, 1, 1)), 2)) == {
+        (P((3, 1, 1)), 1),
+        (P((2, 2, 1)), -1),
+        (P((1, 1, 1, 1, 1)), -1),
+    }
+
+
+@given(small_shapes, st.integers(1, 5))
+@settings(max_examples=150, deadline=None)
+def test_strip_additions_and_removals_are_mirror_images(shape, k):
+    # (ν, s) is added to μ exactly when (μ, s) is removed from ν
+    for bigger, sign in rp._strip_additions(shape, k):
+        assert (shape, sign) in _strip_removals(bigger, k)
+    for smaller, sign in _strip_removals(shape, k):
+        assert (shape, sign) in rp._strip_additions(smaller, k)
 
 
 # ---------------------------------------------------------------------------
@@ -416,14 +425,14 @@ def test_ribbon_strips_match_horner_over_the_power_sums(case):
     inside, cap = envelope.__getitem__, envelope.cap
     scale, weights = _integral_schur(P((m,)))
     trie = _trie((sorted(r * part for part in kappa), w) for kappa, w in weights.items())
-    totals = _horner(trie, cap, {mu: 1}, defaultdict(int))
+    totals = _horner(trie, {mu: 1}, defaultdict(int))
     expected = _exact_quotients({nu: t for nu, t in totals.items() if inside(nu)}, scale)
     got: defaultdict[Partition, int] = defaultdict(int)
     rp._add_ribbon_strips(got, mu, 1, r, m, len(cap), inside)
     # each strip is reached once, so nothing cancels
     assert dict(got) == expected
     if m == 1:
-        assert expected == {nu: sign for nu, sign in rp._strip_additions(mu, r, cap) if inside(nu)}
+        assert expected == {nu: sign for nu, sign in rp._strip_additions(mu, r) if inside(nu)}
 
 
 @pytest.mark.parametrize("m", range(1, 7))
@@ -436,7 +445,7 @@ def test_row_weights_are_scaled_by_m_factorial(m):
     for r in (1, 2):
         envelope = rp._DownSet(tuple(partitions_of(r * m)))
         trie = _trie((sorted(r * part for part in kappa), w) for kappa, w in weights.items())
-        totals = _horner(trie, envelope.cap, {P(()): 1}, defaultdict(int))
+        totals = _horner(trie, {P(()): 1}, defaultdict(int))
         got: defaultdict[Partition, int] = defaultdict(int)
         rp._add_ribbon_strips(got, P(()), 1, r, m, len(envelope.cap), envelope.__getitem__)
         assert dict(got) == _exact_quotients(totals, scale)
