@@ -190,34 +190,21 @@ def lr_fillings(s: SkewShape) -> tuple[LRFilling, ...]:
     return tuple(out)
 
 
-@cache
-def _lr_count(nu: Partition, lam: Partition, mu: Partition) -> int:
-    return sum(1 for _ in _iter_words(nu, mu, lam))
-
-
 def lr_coefficient(nu: Iterable[int], lam: Iterable[int], mu: Iterable[int]) -> int:
     """Number of admissible fillings of nu/mu with content lam.
 
     Zero whenever |nu| != |lam| + |mu| or mu is not contained in nu. Counting
-    never materializes the fillings; results are memoized on the canonical
-    triple.
+    never materializes the fillings.
     """
     nu, lam, mu = as_partition(nu), as_partition(lam), as_partition(mu)
     if nu.size != lam.size + mu.size or not contains(nu, mu):
         return 0
-    return _lr_count(nu, lam, mu)
-
-
-@cache
-def _type_counts(outer: Partition, inner: Partition) -> tuple[tuple[Partition, int], ...]:
-    counter: defaultdict[Partition, int] = defaultdict(int)
-    for word in _iter_words(outer, inner):
-        counter[_word_type(word)] += 1
-    return tuple(sorted(counter.items()))
+    return sum(1 for _ in _iter_words(nu, mu, lam))
 
 
 def skew_schur_expansion(s: SkewShape) -> dict[Partition, int]:
-    """Expand the skew Schur function of the shape: content -> multiplicity.
+    """Expand the skew Schur function of the shape: content -> multiplicity,
+    with the contents in increasing order.
 
     The zero function (inner not contained) gives the empty mapping; a
     straight shape gives ``{outer: 1}``.
@@ -225,7 +212,10 @@ def skew_schur_expansion(s: SkewShape) -> dict[Partition, int]:
     s = as_skew(s)
     if not s.is_contained:
         return {}
-    return dict(_type_counts(s.outer, s.inner))
+    counter: defaultdict[Partition, int] = defaultdict(int)
+    for word in _iter_words(s.outer, s.inner):
+        counter[_word_type(word)] += 1
+    return dict(sorted(counter.items()))
 
 
 # ---------------------------------------------------------------------------

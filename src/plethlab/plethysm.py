@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from functools import cache
-from itertools import product
 from math import factorial, prod
 from typing import Callable, Iterable, MutableMapping
 
@@ -35,6 +34,7 @@ from .partitions import (
     as_skew,
     conjugate,
     format_partition,
+    partitions_between,
 )
 from .powersum import (
     _character,
@@ -144,7 +144,6 @@ def _unit_vectors(nvars: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-@cache
 def _schur_polynomial(shape: Partition, nvars: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     poly = _substitute_schur(shape, _unit_vectors(nvars), nvars)
     return tuple(sorted(poly.items()))
@@ -157,19 +156,18 @@ def _kostka(nu: tuple[int, ...], weight: tuple[int, ...]) -> int:
 
     The entries equal to ``len(weight)`` fill a horizontal strip nu/kappa of
     size ``weight[-1]``, that is a kappa interlacing nu
-    (``nu[i+1] <= kappa[i] <= nu[i]``); the count recurses on each such
-    kappa with the smaller weight.
+    (``nu[i+1] <= kappa[i] <= nu[i]``): the partitions between nu without its
+    first row and nu. The count recurses on each such kappa with the smaller
+    weight.
     """
     if len(nu) > len(weight):
         return 0
     if not weight:
         return 1
     rest = weight[:-1]
-    interlacing = (range(below, part + 1) for below, part in zip(nu[1:] + (0,), nu))
     return sum(
-        _kostka(tuple(k for k in kappa if k), rest)
-        for kappa in product(*interlacing)
-        if sum(kappa) == sum(rest)
+        _kostka(kappa, rest)
+        for kappa in partitions_between(nu[1:], nu, sum(nu) - weight[-1])
     )
 
 

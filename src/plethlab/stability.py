@@ -371,6 +371,15 @@ class ScanCell:
             f"|l={self.l}|m={self.m}"
         )
 
+    @property
+    def family(self) -> str:
+        """Where weak increase stands for this cell: ``"proven"`` for arm-only
+        and leg-only growth (l in {0, m}), ``"conjectured"`` for
+        (l, m) = (1, 2), ``"other"`` for every other cell."""
+        if self.l in (0, self.m):
+            return "proven"
+        return "conjectured" if (self.l, self.m) == (1, 2) else "other"
+
     def to_dict(self) -> dict:
         return {
             "target": format_partition(self.target),
@@ -391,25 +400,22 @@ class ScanReport:
     def not_stabilized(self) -> tuple[ScanCell, ...]:
         return tuple(c for c in self.cells if not c.report.window_confirmed)
 
+    def _violations(self, family: str) -> tuple[ScanCell, ...]:
+        return tuple(
+            c for c in self.cells if not c.report.weakly_increasing and c.family == family
+        )
+
     @property
     def proven_family_violations(self) -> tuple[ScanCell, ...]:
         """Violations in the families where weak increase is a theorem
         (arm-only growth, and leg-only growth)."""
-        return tuple(
-            c
-            for c in self.cells
-            if not c.report.weakly_increasing and c.l in (0, c.m)
-        )
+        return self._violations("proven")
 
     @property
     def conjectured_family_violations(self) -> tuple[ScanCell, ...]:
         """Violations in the conjectured family (l, m) = (1, 2); these are
         potential counterexamples and deserve loud reporting, not a crash."""
-        return tuple(
-            c
-            for c in self.cells
-            if not c.report.weakly_increasing and (c.l, c.m) == (1, 2)
-        )
+        return self._violations("conjectured")
 
     def to_dict(self) -> dict:
         return {
@@ -422,13 +428,7 @@ class ScanReport:
             "conjectured_family_violations": [
                 c.key for c in self.conjectured_family_violations
             ],
-            "other_monotonicity_exceptions": [
-                c.key
-                for c in self.cells
-                if not c.report.weakly_increasing
-                and c.l not in (0, c.m)
-                and (c.l, c.m) != (1, 2)
-            ],
+            "other_monotonicity_exceptions": [c.key for c in self._violations("other")],
         }
 
 

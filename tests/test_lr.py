@@ -75,6 +75,18 @@ def test_skew_expansion_examples():
     assert skew_schur_expansion(SkewShape(Partition((2,)), Partition((3,)))) == {}
 
 
+def test_skew_expansion_lists_its_shapes_in_increasing_order():
+    longest = 0
+    for n in range(8):
+        for outer in partitions_of(n):
+            for k in range(n):
+                for inner in partitions_of(k):
+                    shapes = list(skew_schur_expansion(SkewShape(outer, inner)))
+                    assert shapes == sorted(shapes), (outer, inner)
+                    longest = max(longest, len(shapes))
+    assert longest > 2
+
+
 def test_expansion_counts_group_fillings_by_weight():
     shape = SkewShape(Partition((4, 3, 1)), Partition((2, 1)))
     expansion = skew_schur_expansion(shape)

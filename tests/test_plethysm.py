@@ -696,3 +696,44 @@ def test_package_imports_are_top_level_and_acyclic():
         tuple(TopologicalSorter(graph).static_order())
     except CycleError as exc:
         pytest.fail(f"import cycle between modules: {exc.args[1]}")
+
+
+# Every memo table in the package, as module.name. Each one is reused by the
+# measured traffic or read by the benchmark; ROADMAP's memo table gives its
+# hits and misses per workload and what removing it cost. A new table comes
+# with an edit here that cites its measured reuse.
+_MEMO_TABLES = {
+    "lr._hstrip_removals",
+    "lr._jacobi_trudi_terms",
+    "lr.dual_pieri_expansion",
+    "plethysm._kostka",
+    "powersum._character",
+    "powersum._composed",
+    "powersum._plethysm_items",
+    "powersum._strip_additions",
+    "powersum._strip_removals",
+    "row_plethysm._tables_for",
+}
+
+
+def _is_memo(node) -> bool:
+    """True for ``cache``, ``lru_cache``, their ``functools.`` forms, and
+    calls of any of these."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+    return name in ("cache", "lru_cache")
+
+
+def test_memo_tables_are_the_measured_ones():
+    package = Path(plethlab.__file__).resolve().parent
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if any(_is_memo(d) for d in node.decorator_list):
+                    found.add(f"{path.stem}.{node.name}")
+            elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+                if _is_memo(node.value.func):
+                    found.update(f"{path.stem}.{ast.unparse(t)}" for t in node.targets)
+    assert found == _MEMO_TABLES

@@ -7,6 +7,7 @@ from plethlab import (
     GrowthIdentityReport,
     Partition,
     ScanBounds,
+    ScanCell,
     SequenceSpec,
     SkewShape,
     VerificationError,
@@ -327,6 +328,21 @@ def test_scan_arm_only_growth_is_weakly_increasing():
     for cell in report.cells:
         if cell.l == cell.m or cell.l == 0:
             assert cell.report.weakly_increasing, cell.key
+
+
+def test_scan_cells_fall_in_one_family_each():
+    family = {
+        (l, m): ScanCell(P(), P(), l, m, None).family
+        for m in range(1, 5)
+        for l in range(m + 1)
+    }
+    assert {k for k, f in family.items() if f == "proven"} == {
+        (0, 1), (1, 1), (0, 2), (2, 2), (0, 3), (3, 3), (0, 4), (4, 4)
+    }
+    assert {k for k, f in family.items() if f == "conjectured"} == {(1, 2)}
+    assert {k for k, f in family.items() if f == "other"} == {
+        (1, 3), (2, 3), (1, 4), (2, 4), (3, 4)
+    }
 
 
 def test_scan_reports_the_degenerate_anchor_violation():
