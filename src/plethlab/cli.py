@@ -18,11 +18,12 @@ it passes), then a summary record.
 An optional on-disk coefficient cache (``--cache PATH``) persists computed
 plethysm coefficients between runs, one ``key<TAB>value`` pair per line with
 canonical ``nu|lam|mu`` keys. The cache is transparent: values never depend
-on it, and corrupt files are ignored with a warning. It is written to a
-temporary file beside it and then renamed over it, so a write that fails
-partway leaves the previous cache intact. ``--timing`` adds a wall-time
-field to each result record (per check for ``verify``, the aggregate for
-``scan``); it is off by default as it breaks byte-for-byte reproducibility.
+on it, and corrupt lines are skipped with a warning. A run writes it back only
+when it added entries, and drops any corrupt lines then. The write goes to a
+temporary file beside it that is renamed over it, so a write that fails
+partway leaves the previous cache intact. ``--timing`` adds a wall-time field
+to each result record (per check for ``verify``, the aggregate for ``scan``);
+it is off by default as it breaks byte-for-byte reproducibility.
 """
 
 from __future__ import annotations
@@ -399,6 +400,7 @@ def main(argv: list[str] | None = None) -> int:
     store = None
     if args.cache is not None:
         store = _load_cache(args.cache)
+        loaded = len(store)
         install_coefficient_store(store)
     try:
         return args.run(args)
@@ -411,10 +413,11 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         if store is not None:
             install_coefficient_store(None)
-            try:
-                _save_cache(args.cache, store)
-            except OSError as exc:
-                print(f"warning: could not write cache {args.cache}: {exc}", file=sys.stderr)
+            if len(store) > loaded:
+                try:
+                    _save_cache(args.cache, store)
+                except OSError as exc:
+                    print(f"warning: could not write cache {args.cache}: {exc}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -26,13 +26,15 @@ factor:
   of the generalised Murnaghan-Nakayama rule of Evseev, Paget and Wildon).
   Everything is an integer, and each entry is divided by b exactly. The
   full Schur expansions are kept pruned to an envelope: exactly the union
-  of the down-sets of the shapes warmed or queried. Pruning is sound
-  because a ribbon strip only adds boxes, so a coefficient inside a
-  downward-closed envelope depends only on coefficients inside it, and a
-  new target's down-set can be added to the tables later on its own. The
-  strip kernel of :mod:`powersum` moves beads on ``len(cap)`` beta numbers,
-  where the "cap" is the targets' row-wise maximum, and a branch ends at
-  the first ribbon whose shape leaves the envelope.
+  of the down-sets of the shapes warmed or queried, which all come in
+  through :func:`warm_tables`. Membership is a bitmask AND, computed on
+  each lookup and stored nowhere. Pruning is sound because a ribbon strip
+  only adds boxes, so a coefficient inside a downward-closed envelope
+  depends only on coefficients inside it, and a new target's down-set can
+  be added to the tables later on its own. The strip kernel of
+  :mod:`powersum` moves beads on ``len(cap)`` beta numbers, where the
+  "cap" is the targets' row-wise maximum, and a branch ends at the first
+  ribbon whose shape leaves the envelope.
 
 The route declines (returns None) when the outer shape is not thin enough or
 a determinant term would carry two large factors; callers then fall back to
@@ -86,8 +88,8 @@ def _arm_excess_one(p: Partition) -> bool:
     return True
 
 
-class _DownSet(dict):
-    """Memoised membership in the union of the targets' down-sets.
+class _DownSet:
+    """Membership in the union of the targets' down-sets, stored nowhere.
 
     ``self[shape]`` is True when the shape fits inside some target. One
     bitmask per (row i, value v) marks the targets whose row i is at least
@@ -96,7 +98,6 @@ class _DownSet(dict):
     """
 
     def __init__(self, targets: tuple[Partition, ...]):
-        super().__init__()
         self._all = (1 << len(targets)) - 1
         tops = map(max, zip_longest(*targets, fillvalue=0))
         self._masks = [[0] * (top + 1) for top in tops]
@@ -109,15 +110,14 @@ class _DownSet(dict):
             for v in range(len(row) - 2, -1, -1):
                 row[v] |= row[v + 1]
 
-    def __missing__(self, shape: Partition) -> bool:
+    def __getitem__(self, shape: Partition) -> bool:
         masks = self._masks
         hit = self._all if len(shape) <= len(masks) else 0
         for row, part in zip(masks, shape):
             if not hit:
                 break
             hit &= row[part] if part < len(row) else 0
-        self[shape] = found = hit != 0
-        return found
+        return hit != 0
 
 
 class _RowTables:
@@ -125,17 +125,18 @@ class _RowTables:
 
     The envelope is the union of the down-sets of the targets, the shapes
     warmed or queried so far that lay outside it when they came.
-    ``inside(shape)`` tests membership, and ``cap``, the targets' row-wise
-    maximum, gives the number of beta numbers. ``tables[kind][a]`` maps each
-    partition inside the envelope to its coefficient in the composition of
-    (h_a or e_a) with the one-row shape h_m. Table a is built from tables
-    a-1, ..., 0 by Newton's identity: for each r, :func:`_add_ribbon_strips`
-    multiplies each entry of table a-r inside the envelope by h_m[p_r], and
-    :func:`_exact_quotients` divides each total by a once and raises on a
-    remainder. Coefficients inside the envelope are exact. A new target
-    extends every built table in place (:meth:`extend_cap`), so the tables
-    are never reset, though a growth recomputes the entries of the old
-    envelope that lie below a new target.
+    ``inside(shape)`` tests membership, with no memo, and ``cap``, the
+    targets' row-wise maximum, gives the number of beta numbers.
+    ``tables[kind][a]`` maps each partition inside the envelope to its
+    coefficient in the composition of (h_a or e_a) with the one-row shape
+    h_m. Table a is built from tables a-1, ..., 0 by Newton's identity: for
+    each r, :func:`_add_ribbon_strips` multiplies each entry of table a-r
+    inside the envelope by h_m[p_r], and :func:`_exact_quotients` divides
+    each total by a once and raises on a remainder. Coefficients inside the
+    envelope are exact. A new target, added by :func:`warm_tables`, extends
+    every built table in place (:meth:`extend_cap`), so the tables are never
+    reset, though a growth recomputes the entries of the old envelope that
+    lie below a new target.
     """
 
     def __init__(self, m: int):
@@ -149,19 +150,16 @@ class _RowTables:
             "e": [dict(one)],
         }
 
-    def extend_cap(self, shapes: Iterable[Partition]) -> None:
-        """Add the shapes as targets and extend the built tables to them.
+    def extend_cap(self, new: Iterable[Partition]) -> None:
+        """Add new targets, outside the envelope, and extend the built tables.
 
-        The shapes outside the envelope join the targets; targets are never
-        dropped. Each built table is then recomputed, in increasing order, on
-        the new targets' down-sets alone and merged in: a new shape's Newton
-        inputs are the shapes inside it, where the lower tables are already
-        complete, and an entry the table already holds is recomputed to the
-        same value.
+        Targets are never dropped. Each built table is then recomputed, in
+        increasing order, on the new targets' down-sets alone and merged in:
+        a new shape's Newton inputs are the shapes inside it, where the lower
+        tables are already complete, and an entry the table already holds is
+        recomputed to the same value.
         """
-        new = tuple(dict.fromkeys(s for s in shapes if not self.inside(s)))
-        if not new:
-            return
+        new = tuple(new)
         self._targets += new
         envelope = _DownSet(self._targets)
         self.inside, self.cap = envelope.__getitem__, envelope.cap
@@ -195,32 +193,27 @@ _tables_for = cache(_RowTables)
 reset_tables = _tables_for.cache_clear
 
 
-def _tables_covering(shapes: list[Partition], m: int) -> _RowTables:
-    """The tables for m, with every shape added as a target if one is outside."""
-    tables = _tables_for(m)
-    if not all(map(tables.inside, shapes)):
-        tables.extend_cap(shapes)
-    return tables
-
-
 def warm_tables(nus: Iterable[Iterable[int]], m: int) -> None:
-    """Add a batch of target shapes for m before querying them.
+    """Add a batch of target shapes for m: the one way targets come in.
 
-    Purely a performance hint: a query outside the envelope extends it on
-    the fly, by one Newton pass per built table over the new target's
-    down-set. The shapes of the batch outside the envelope become targets,
-    and the envelope is the union of their down-sets with the earlier ones,
-    so warming batch by batch gives the tables of one warm with all of them.
+    The shapes outside the envelope become targets, and the envelope is the
+    union of their down-sets with the earlier ones, so warming batch by batch
+    gives the tables of one warm with all of them. :func:`row_coefficient`
+    warms each query, so a query outside a caller's warmed batches extends
+    the tables by one Newton pass per built table over its down-set.
     """
     if m > 2:
-        _tables_covering([as_partition(nu) for nu in nus], m)
+        tables = _tables_for(m)
+        new = dict.fromkeys(s for s in map(as_partition, nus) if not tables.inside(s))
+        if new:
+            tables.extend_cap(new)
 
 
 def row_coefficient(nu: Partition, lam: Partition, m: int) -> int | None:
     """Coefficient of nu in the composition of lam with a one-row shape.
 
     Returns None when this route does not apply; the caller falls back.
-    Assumes the caller already checked degrees and the row-count bound.
+    Assumes the caller already checked degrees, the row-count bound and m > 1.
     """
     rows, cols = len(lam), lam[0]
     if min(rows, cols) > _THIN_MAX:
@@ -243,7 +236,8 @@ def row_coefficient(nu: Partition, lam: Partition, m: int) -> int | None:
             return sum(c for rho, c in level.items() if predicate(rho))
 
     else:
-        tables = _tables_covering([nu], m)
+        warm_tables((nu,), m)
+        tables = _tables_for(m)
 
         def pair(big: int, level: dict[Partition, int]) -> int:
             tables.ensure(kind, big)

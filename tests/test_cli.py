@@ -184,6 +184,25 @@ def run_main(capsys, *args):
     return code, [json.loads(line) for line in capsys.readouterr().out.splitlines()]
 
 
+def test_cache_is_written_only_when_the_run_adds_entries(tmp_path, monkeypatch, capsys):
+    cache = tmp_path / "coefficients.tsv"
+    saves = []
+    save = cli._save_cache
+
+    def counted(path, store):
+        saves.append(len(store))
+        save(path, store)
+
+    monkeypatch.setattr(cli, "_save_cache", counted)
+    args = ("--cache", str(cache), "coeff", "--nu", "4,2", "--lambda", "3", "--mu", "2")
+    cold_code, cold = run_main(capsys, *args)
+    assert cold_code == cli.EXIT_OK and len(saves) == 1 and saves[0] > 0
+    stored = cache.read_bytes()
+    warm_code, warm = run_main(capsys, *args)
+    assert (warm_code, warm) == (cold_code, cold)
+    assert len(saves) == 1 and cache.read_bytes() == stored
+
+
 def test_m4_scan_output_is_pinned(capsys):
     # m = 4 goes through the row tables, where the envelope prunes the most
     # shapes; no benchmark digest covers it

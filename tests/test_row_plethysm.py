@@ -1,7 +1,13 @@
 """Cross-checks of the large-coefficient route against the power-sum route.
 
-The two implementations share nothing past the partition layer, so
-agreement on overlapping domains is strong evidence for both.
+The two routes are not independent: both add border strips through
+``powersum._add_ribbon_strips``, and ``row_coefficient`` peels its small
+factors through the cached full expansions of ``_plethysm_items``. The
+independent anchors are the brute-force border-strip test
+(``test_strip_additions_match_brute_force``), which checks the strip kernel
+against strips found cell by cell, and character pairing
+(``_coefficient_by_characters``), which reaches the coefficients through
+Murnaghan-Nakayama characters and uses neither of those.
 """
 
 import os
