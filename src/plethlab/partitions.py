@@ -13,6 +13,7 @@ shape with empty inner part.
 
 from __future__ import annotations
 
+from operator import index
 from typing import Iterable, Iterator, NamedTuple
 
 __all__ = [
@@ -49,15 +50,15 @@ class ExactnessError(ArithmeticError):
 class Partition(tuple):
     """A weakly decreasing tuple of positive integers.
 
-    The constructor accepts any iterable of nonnegative integers in weakly
-    decreasing order and strips trailing zeros. ``Partition()`` is the empty
-    partition.
+    The constructor accepts any iterable of nonnegative integers (a float,
+    even ``2.0``, raises TypeError) in weakly decreasing order and strips
+    trailing zeros. ``Partition()`` is the empty partition.
     """
 
     __slots__ = ()
 
     def __new__(cls, parts: Iterable[int] = ()) -> "Partition":
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(map(index, parts))
         prev = None
         for p in parts:
             if p < 0:
@@ -99,7 +100,7 @@ class SkewShape(NamedTuple):
 
     @classmethod
     def straight(cls, outer: Iterable[int]) -> "SkewShape":
-        return cls(Partition(outer), _EMPTY)
+        return cls(as_partition(outer), _EMPTY)
 
     @property
     def is_contained(self) -> bool:
@@ -190,10 +191,8 @@ def grow_arm_legs(a: Iterable[int], l: int, m: int, j: int) -> Partition:
     """
     _check_growth_params(l, m, j)
     a = as_partition(a)
-    armed = add(a, Partition((l * j,)))
-    if m == l or j == 0:
-        return armed
-    return union_sort(armed, Partition((m - l,) * j))
+    first = a[0] if a else 0
+    return Partition(sorted((first + l * j, *a[1:], *(m - l,) * j), reverse=True))
 
 
 def grow_line(a: Iterable[int], l: int, m: int, j: int) -> Partition:
@@ -201,8 +200,8 @@ def grow_line(a: Iterable[int], l: int, m: int, j: int) -> Partition:
     _check_growth_params(l, m, j)
     a = as_partition(a)
     if (m + l) % 2 == 0:
-        return add(a, Partition((j,)))
-    return union_sort(a, Partition((1,) * j))
+        return Partition(((a[0] if a else 0) + j, *a[1:]))
+    return Partition(a + (1,) * j)
 
 
 def grow_skew_arm_legs(s: SkewShape, l: int, m: int, j: int) -> SkewShape:

@@ -6,14 +6,18 @@ runs once per session. Every tolerance here is exact integer equality; the
 stated time budgets are asserted.
 """
 
+import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
+import plethlab
 from plethlab import (
     Partition,
     ScanBounds,
@@ -233,7 +237,10 @@ def _run_cli(*args, cache=None):
     if cache is not None:
         argv += ["--cache", str(cache)]
     argv += list(args)
-    return subprocess.run(argv, capture_output=True, text=True)
+    src = str(Path(plethlab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.run(argv, capture_output=True, text=True, env=env)
 
 
 def test_criterion_10_cli_determinism_and_budget(tmp_path):
@@ -258,6 +265,10 @@ def test_criterion_10_cli_determinism_and_budget(tmp_path):
         check_cached = _run_cli("verify", cache=cache)
         assert check_plain.returncode == 0
         assert check_plain.stdout == check_cached.stdout
+        assert (
+            hashlib.sha256(check_plain.stdout.encode()).hexdigest()
+            == "7eff1b2d7adae2a0f45cc1273dd556efa389a9239f2f02e7ecee5cf065a112ee"
+        )
 
         # every emitted line is valid JSON that round-trips byte for byte
         for line in first.stdout.splitlines():

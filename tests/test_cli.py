@@ -1,9 +1,18 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 from plethlab import cli
+
+# subprocesses import the package from the same src as this process
+_SRC = str(Path(cli.__file__).resolve().parents[1])
+_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH")))),
+}
 
 
 def run_cli(*args, cwd=None):
@@ -12,6 +21,7 @@ def run_cli(*args, cwd=None):
         capture_output=True,
         text=True,
         cwd=cwd,
+        env=_ENV,
     )
     return proc
 
@@ -167,6 +177,7 @@ def test_cache_write_failing_partway_leaves_the_old_store(tmp_path):
         [sys.executable, "-c", _FAILING_SAVE, str(cache)],
         capture_output=True,
         text=True,
+        env=_ENV,
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
@@ -201,6 +212,17 @@ def test_cache_is_written_only_when_the_run_adds_entries(tmp_path, monkeypatch, 
     warm_code, warm = run_main(capsys, *args)
     assert (warm_code, warm) == (cold_code, cold)
     assert len(saves) == 1 and cache.read_bytes() == stored
+
+
+def test_default_scan_output_is_pinned(capsys):
+    # the scan users run by default, byte for byte
+    assert cli.main(["scan"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 604
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "e0bd7861d99a8fc3bd144e62f02c22bc363333973e76ce6fea2ebc98c9ef686c"
+    )
 
 
 def test_m4_scan_output_is_pinned(capsys):

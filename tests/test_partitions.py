@@ -64,6 +64,10 @@ def test_constructor_rejects_bad_input():
         Partition((1, 2))
     with pytest.raises(ValueError):
         Partition((3, -1))
+    # parts are converted with operator.index, never truncated
+    for parts in ((2.5, 1), (2.0,), (3, 1.0)):
+        with pytest.raises(TypeError):
+            Partition(parts)
 
 
 def test_conjugate_examples():
@@ -223,10 +227,20 @@ def test_conjugate_swaps_union_and_add(a, b):
     st.integers(min_value=0, max_value=4),
     st.integers(min_value=0, max_value=5),
 )
+@example(Partition(()), 3, 1, 2)
+@example(Partition(()), 2, 0, 3)
+@example(Partition((2, 1)), 3, 3, 2)
+@example(Partition((4, 1)), 3, 1, 0)
 @settings(max_examples=120, deadline=None)
 def test_growth_sizes_and_one_step_composition(p, m, l, j):
     if l > m:
         l = l % (m + 1)
+    # each operator is its definition through add and union_sort
+    armed = add(p, (l * j,))
+    legs = armed if m == l or j == 0 else union_sort(armed, (m - l,) * j)
+    assert grow_arm_legs(p, l, m, j) == legs
+    line = add(p, (j,)) if (m + l) % 2 == 0 else union_sort(p, (1,) * j)
+    assert grow_line(p, l, m, j) == line
     assert grow_arm_legs(p, l, m, j).size == p.size + m * j
     assert grow_line(p, l, m, j).size == p.size + j
     assert grow_line(p, l, m, j + 1) == grow_line(grow_line(p, l, m, j), l, m, 1)
