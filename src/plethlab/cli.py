@@ -129,10 +129,9 @@ def _save_cache(path: Path, store: dict[str, int]) -> None:
         raise
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
+def _parse_int_list(text: str, option: str) -> tuple[int, ...]:
+    if not text.strip():
+        raise ValueError(f"{option} needs at least one integer")
     return tuple(int(tok) for tok in text.split(","))
 
 
@@ -212,9 +211,9 @@ def _cmd_sequence(args) -> int:
 
 def _cmd_scan(args) -> int:
     bounds = ScanBounds(
-        tau_sizes=_parse_int_list(args.tau_sizes),
-        m_values=_parse_int_list(args.m),
-        l_values=None if args.l == "all" else _parse_int_list(args.l),
+        tau_sizes=_parse_int_list(args.tau_sizes, "--tau-sizes"),
+        m_values=_parse_int_list(args.m, "--m"),
+        l_values=None if args.l == "all" else _parse_int_list(args.l, "--l"),
     )
     report, ms = _timed(args, scan, bounds, j_max=args.jmax, window=args.window)
     for cell in report.cells:

@@ -215,50 +215,40 @@ def row_coefficient(nu: Partition, lam: Partition, m: int) -> int | None:
     Returns None when this route does not apply; the caller falls back.
     Assumes the caller already checked degrees, the row-count bound and m > 1.
     """
-    rows, cols = len(lam), lam[0]
-    if min(rows, cols) > _THIN_MAX:
+    if min(len(lam), lam[0]) > _THIN_MAX:
         return None
     horizontal, jacobi_trudi = _jacobi_trudi_terms(lam)
+    if any(m * s > _SMALL_FACTOR_CAP for _, sizes in jacobi_trudi for s in sorted(sizes)[-2:-1]):
+        return None
     kind = "h" if horizontal else "e"
-    terms = []
-    for sign, sizes in jacobi_trudi:
-        big_i = sizes.index(max(sizes))
-        smalls = tuple(
-            sorted((s for i, s in enumerate(sizes) if i != big_i and s > 0), reverse=True)
-        )
-        if smalls and m * smalls[0] > _SMALL_FACTOR_CAP:
-            return None
-        terms.append((sign, sizes[big_i], smalls))
     if m == 2:
-        predicate = _all_even_rows if kind == "h" else _arm_excess_one
+        closed_form = _all_even_rows if kind == "h" else _arm_excess_one
 
-        def pair(big: int, level: dict[Partition, int]) -> int:
-            return sum(c for rho, c in level.items() if predicate(rho))
+        def entry(big: int, rho: Partition) -> int:
+            return closed_form(rho)
 
     else:
         warm_tables((nu,), m)
         tables = _tables_for(m)
+        tabs = tables.tables[kind]
 
-        def pair(big: int, level: dict[Partition, int]) -> int:
-            tables.ensure(kind, big)
-            tab = tables.tables[kind][big]
-            return sum(c * tab.get(rho, 0) for rho, c in level.items())
+        def entry(big: int, rho: Partition) -> int:
+            if big >= len(tabs):
+                tables.ensure(kind, big)
+            return tabs[big].get(rho, 0)
 
     inner = Partition((m,))
     total = 0
-    for sign, big, smalls in terms:
+    for sign, sizes in jacobi_trudi:
+        big, *smalls = sorted(filter(None, sizes), reverse=True)
         level: dict[Partition, int] = {nu: 1}
         for s in smalls:
             nxt: defaultdict[Partition, int] = defaultdict(int)
-            shape = Partition((s,)) if kind == "h" else Partition((1,) * s)
-            expansion = _plethysm_items(shape, inner).items()
+            expansion = _plethysm_items(Partition((s,) if kind == "h" else (1,) * s), inner).items()
             for rho, c in level.items():
                 for theta, tc in expansion:
                     for smaller, c2 in dual_pieri_expansion(rho, theta):
                         nxt[smaller] += c * tc * c2
             level = {sh: v for sh, v in nxt.items() if v}
-            if not level:
-                break
-        if level:
-            total += sign * pair(big, level)
+        total += sign * sum(c * entry(big, rho) for rho, c in level.items())
     return total

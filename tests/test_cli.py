@@ -248,6 +248,19 @@ def test_m5_scan_output_is_pinned(capsys):
     )
 
 
+def test_thick_scan_output_is_pinned(capsys):
+    # tau sizes of 6 reach outer shapes too thick for the row route, so this
+    # scan mixes row-route answers with declines to the character route
+    args = ["scan", "--tau-sizes", "6", "--m", "2", "--l", "1", "--jmax", "6", "--window", "3"]
+    assert cli.main(args) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 848
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "82e260fb13f7dd25015d2d0f45bbc0ac0f20b49beee67038a80ef40677e93184"
+    )
+
+
 def test_coeff_oracle_mismatch_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(cli, "plethysm_oracle", lambda lam, mu: {})
     code, (rec,) = run_main(capsys, "coeff", "--nu", "4", "--lambda", "2", "--mu", "2", "--oracle")
@@ -293,6 +306,14 @@ def test_scan_bad_m_is_a_usage_error_that_names_it(capsys):
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err == f"error: m must be a positive integer, got {m}\n"
+
+
+def test_scan_empty_list_is_a_usage_error_that_names_it(capsys):
+    for option in ("--m", "--tau-sizes", "--l"):
+        assert cli.main(["scan", option, ""]) == cli.EXIT_USAGE
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {option} needs at least one integer\n"
 
 
 def test_scan_negative_tau_size_is_a_usage_error_that_names_it(capsys):

@@ -128,6 +128,18 @@ def test_row_route_declines_fat_shapes():
     assert rp.row_coefficient(P((18, 18)), lam, 2) is None
 
 
+def test_row_route_declines_just_above_the_small_factor_cap():
+    # a second-largest Jacobi-Trudi size s with m * s = 18 is peeled
+    for nu, lam, m, expected in (((20, 12, 4), (2, 2), 9, 18), ((18, 12, 6), (3, 3), 6, 171)):
+        assert rp.row_coefficient(P(nu), P(lam), m) == expected
+        assert _coefficient_by_characters(P(nu), P(lam), P((m,))) == expected
+    # m * s = 20 and 21 decline before any row table is made
+    rp.reset_tables()
+    assert rp.row_coefficient(P((20, 20)), P((2, 2)), 10) is None
+    assert rp.row_coefficient(P((21, 14, 7)), P((3, 3)), 7) is None
+    assert rp._tables_for.cache_info().currsize == 0
+
+
 def test_envelope_growth_preserves_values():
     lam = P((5, 1))
     nu_small = P((9, 2, 1))
