@@ -2,111 +2,24 @@
 coefficients, Schur plethysm, and growth sequences of plethysm coefficients
 with empirical stability detection, all in exact integers (Fraction only at
 the public power-sum functions); nothing here uses floating point.
+
+Each module's ``__all__`` is its public API, and ``plethlab`` re-exports the
+``__all__`` of ``partitions``, ``lr``, ``powersum``, ``plethysm`` and
+``stability``.
 """
 
 __version__ = "0.1.0"
 
-from .partitions import (
-    Partition,
-    SkewShape,
-    add,
-    conjugate,
-    contains,
-    dominates,
-    format_partition,
-    format_skew,
-    grow_arm_legs,
-    grow_line,
-    grow_skew_arm_legs,
-    grow_skew_line,
-    parse_partition,
-    parse_skew,
-    partitions_between,
-    partitions_of,
-    remove_first_column,
-    union_sort,
-)
-from .lr import (
-    LRFilling,
-    is_lattice_word,
-    lr_coefficient,
-    lr_fillings,
-    skew_schur_expansion,
-)
-from .plethysm import (
-    ExactnessError,
-    character_value,
-    install_coefficient_store,
-    involution_map,
-    plethysm_coefficient,
-    plethysm_oracle,
-    plethysm_schur,
-    powersum_plethysm,
-    powersum_to_schur,
-    schur_to_powersum,
-    skew_plethysm_coefficient,
-)
-from .stability import (
-    GrowthIdentityReport,
-    ScanBounds,
-    ScanCell,
-    ScanReport,
-    SequenceReport,
-    SequenceSpec,
-    VerificationError,
-    coefficient_sequence,
-    detect_stabilization,
-    recurrence_coefficient,
-    scan,
-    verify_growth_identity,
-)
+from . import lr, partitions, plethysm, powersum, stability
+from .partitions import *
+from .lr import *
+from .powersum import *
+from .plethysm import *
+from .stability import *
 
-__all__ = [
-    "__version__",
-    "Partition",
-    "SkewShape",
-    "add",
-    "conjugate",
-    "contains",
-    "dominates",
-    "format_partition",
-    "format_skew",
-    "grow_arm_legs",
-    "grow_line",
-    "grow_skew_arm_legs",
-    "grow_skew_line",
-    "parse_partition",
-    "parse_skew",
-    "partitions_between",
-    "partitions_of",
-    "remove_first_column",
-    "union_sort",
-    "LRFilling",
-    "is_lattice_word",
-    "lr_coefficient",
-    "lr_fillings",
-    "skew_schur_expansion",
-    "ExactnessError",
-    "character_value",
-    "install_coefficient_store",
-    "involution_map",
-    "plethysm_coefficient",
-    "plethysm_oracle",
-    "plethysm_schur",
-    "powersum_plethysm",
-    "powersum_to_schur",
-    "schur_to_powersum",
-    "skew_plethysm_coefficient",
-    "GrowthIdentityReport",
-    "ScanBounds",
-    "ScanCell",
-    "ScanReport",
-    "SequenceReport",
-    "SequenceSpec",
-    "VerificationError",
-    "coefficient_sequence",
-    "detect_stabilization",
-    "recurrence_coefficient",
-    "scan",
-    "verify_growth_identity",
-]
+__all__ = ["__version__"]
+__all__ += partitions.__all__
+__all__ += lr.__all__
+__all__ += powersum.__all__
+__all__ += plethysm.__all__
+__all__ += stability.__all__

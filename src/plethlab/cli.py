@@ -132,7 +132,10 @@ def _save_cache(path: Path, store: dict[str, int]) -> None:
 def _parse_int_list(text: str, option: str) -> tuple[int, ...]:
     if not text.strip():
         raise ValueError(f"{option} needs at least one integer")
-    return tuple(int(tok) for tok in text.split(","))
+    try:
+        return tuple(int(tok) for tok in text.split(","))
+    except ValueError:
+        raise ValueError(f"{option} needs comma-separated integers, got {text!r}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ from .powersum import (
     _composed,
     _exact_quotients,
     _plethysm_items,
+    # unused here, kept importable from plethysm; perfbench traces two of them
     character_value,
     powersum_plethysm,
     powersum_to_schur,
@@ -49,11 +50,6 @@ from .powersum import (
 from .row_plethysm import row_coefficient
 
 __all__ = [
-    "ExactnessError",
-    "character_value",
-    "schur_to_powersum",
-    "powersum_plethysm",
-    "powersum_to_schur",
     "plethysm_schur",
     "plethysm_oracle",
     "plethysm_coefficient",

@@ -5,6 +5,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+import plethlab
 from plethlab import cli
 
 # subprocesses import the package from the same src as this process
@@ -261,6 +264,43 @@ def test_thick_scan_output_is_pinned(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "args, values, digest",
+    [
+        # lambda_j has more than three rows from j = 3 on, so these values
+        # come from the e tables
+        (
+            ["--sigma", "5,4", "--tau", "3", "--l", "2"],
+            [0, 2, 3, 3, 3, 3, 3, 3, 3],
+            "09969e23a2c1e90606bb88d9ada9d4e77625e9247f3dc69f48afcf52d1e16595",
+        ),
+        (
+            ["--sigma", "5,4", "--tau", "3", "--l", "2", "--format", "csv"],
+            [0, 2, 3, 3, 3, 3, 3, 3, 3],
+            "249950bab8b4fb43bddc7d513f1fe29e48bb418979b65f4f2c9dc88308a68931",
+        ),
+        (
+            ["--sigma", "4,2,1/1", "--tau", "2,1/1", "--l", "3"],
+            [1, 3, 3, 3, 3, 3, 3, 3, 3],
+            "027c68b55d6571f97a625b6e1aabc9b8204eb1b6afe683ad9db41c009b68b162",
+        ),
+    ],
+    ids=["straight", "straight-csv", "skew"],
+)
+def test_m3_sequence_output_is_pinned(args, values, digest):
+    # a fresh process, so coefficient_sequence warms the row tables itself
+    # rather than finding them warmed by a scan's batch
+    proc = run_cli("sequence", *args, "--m", "3", "--jmax", "8")
+    assert proc.returncode == 0, proc.stderr
+    if "csv" in args:
+        rows = proc.stdout.splitlines()
+        assert rows[0] == "j,value"
+        assert [int(row.split(",")[1]) for row in rows[1:]] == values
+    else:
+        assert records(proc)[0]["output"]["values"] == values
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+
+
 def test_coeff_oracle_mismatch_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(cli, "plethysm_oracle", lambda lam, mu: {})
     code, (rec,) = run_main(capsys, "coeff", "--nu", "4", "--lambda", "2", "--mu", "2", "--oracle")
@@ -314,6 +354,23 @@ def test_scan_empty_list_is_a_usage_error_that_names_it(capsys):
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err == f"error: {option} needs at least one integer\n"
+
+
+def test_scan_malformed_list_is_a_usage_error_that_names_it(capsys):
+    for option, text in (("--m", "2,"), ("--tau-sizes", "x"), ("--l", "1,,2")):
+        assert cli.main(["scan", option, text]) == cli.EXIT_USAGE
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {option} needs comma-separated integers, got {text!r}\n"
+
+
+def test_engine_tag_carries_the_pyproject_version():
+    # every JSONL record names its engine by this version
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        version = tomllib.load(fh)["project"]["version"]
+    assert plethlab.__version__ == version
+    assert cli._ENGINE_TAG == f"plethlab-{version}"
 
 
 def test_scan_negative_tau_size_is_a_usage_error_that_names_it(capsys):

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -696,6 +697,31 @@ def test_package_imports_are_top_level_and_acyclic():
         tuple(TopologicalSorter(graph).static_order())
     except CycleError as exc:
         pytest.fail(f"import cycle between modules: {exc.args[1]}")
+
+
+_REEXPORTED = ("partitions", "lr", "powersum", "plethysm", "stability")
+
+
+def test_each_public_name_is_declared_once():
+    modules = [importlib.import_module(f"plethlab.{name}") for name in _REEXPORTED]
+    for module in modules:
+        foreign = [n for n in module.__all__ if getattr(module, n).__module__ != module.__name__]
+        assert not foreign, f"{module.__name__}.__all__ lists names it does not define: {foreign}"
+    # __init__ names no public name itself: it star-imports the modules
+    tree = ast.parse(Path(plethlab.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported = [alias.name for alias in node.names]
+            assert imported == ["*"] or (node.module is None and set(imported) <= set(_REEXPORTED))
+        if isinstance(node, (ast.List, ast.Tuple, ast.Set)):
+            assert [getattr(elt, "value", None) for elt in node.elts] == ["__version__"]
+    expected = ["__version__", *(name for module in modules for name in module.__all__)]
+    assert len(set(expected)) == len(expected), "two modules export the same name"
+    assert sorted(plethlab.__all__) == sorted(expected)
+    namespace: dict = {}
+    exec("from plethlab import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(plethlab.__all__)
 
 
 # Every memo table in the package, as module.name: a ``functools`` cache, or
