@@ -5,7 +5,8 @@ Subcommands: ``coeff``, ``lr``, ``plethysm``, ``sequence``, ``verify``,
 keys and canonical partition text, so identical invocations produce byte
 identical output. ``--format csv`` is available for sequence values only.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 141 output
+pipe closed by its reader (as a shell reports a writer ended by SIGPIPE).
 
 ``coeff --oracle`` compares the coefficient with the brute-force oracle.
 Its ``"oracle": null`` means that no comparison was made: the triple of three
@@ -70,6 +71,7 @@ _ENGINE_TAG = f"plethlab-{__version__}"
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
+EXIT_BROKEN_PIPE = 141
 
 
 def _emit(record: dict, *, timing_ms: int | None = None) -> None:
@@ -406,6 +408,10 @@ def main(argv: list[str] | None = None) -> int:
         install_coefficient_store(store)
     try:
         return args.run(args)
+    except BrokenPipeError:
+        # the interpreter flushes stdout at exit; send what is left to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

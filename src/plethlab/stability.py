@@ -148,26 +148,22 @@ def coefficient_sequence(
 ) -> SequenceReport:
     """Materialize the growth sequence of a family and analyse it.
 
-    Shapes whose inner part is not contained in the outer one produce the
-    all-zero sequence (inputs are normalized to contained representatives;
-    non-contained ones denote the zero function).
+    The value at j is the skew coefficient of the grown shapes, 0 at each j
+    where an inner shape does not fit in its grown outer one.
     """
     target, source = spec.target, spec.source
-    if not target.is_contained or not source.is_contained:
-        values: tuple[int, ...] = (0,) * (spec.j_max + 1)
-    else:
-        mu = Partition((spec.m,))
-        warm_tables(
-            [grow_skew_arm_legs(target, spec.l, spec.m, spec.j_max).outer], spec.m
+    mu = Partition((spec.m,))
+    warm_tables(
+        [grow_skew_arm_legs(target, spec.l, spec.m, spec.j_max).outer], spec.m
+    )
+    values = tuple(
+        skew_plethysm_coefficient(
+            grow_skew_arm_legs(target, spec.l, spec.m, j),
+            grow_skew_line(source, spec.l, spec.m, j),
+            mu,
         )
-        values = tuple(
-            skew_plethysm_coefficient(
-                grow_skew_arm_legs(target, spec.l, spec.m, j),
-                grow_skew_line(source, spec.l, spec.m, j),
-                mu,
-            )
-            for j in range(spec.j_max + 1)
-        )
+        for j in range(spec.j_max + 1)
+    )
     index, confirmed = detect_stabilization(values, window)
     return SequenceReport(
         spec=spec,
@@ -345,7 +341,7 @@ class ScanBounds:
     def cells(self) -> Iterator[tuple[Partition, Partition, int, int]]:
         for m in sorted(set(self.m_values)):
             ls = (
-                tuple(l for l in self.l_values if 0 <= l <= m)
+                tuple(l for l in sorted(set(self.l_values)) if l <= m)
                 if self.l_values is not None
                 else tuple(range(m + 1))
             )

@@ -340,6 +340,37 @@ def test_scan_l_that_fits_no_m_is_a_usage_error(capsys):
     assert recs[-1]["aggregate"]["cells"] == 3
 
 
+def test_scan_l_values_are_a_set_like_m_and_tau_sizes(capsys):
+    # a repeated l is one l, and the order given does not matter
+    code, recs = run_main(capsys, "scan", "--l", "1,1", "--m", "2", "--tau-sizes", "1")
+    assert code == cli.EXIT_OK
+    assert [(r["cell"]["target"], r["cell"]["l"]) for r in recs[:-1]] == [("2", 1), ("1,1", 1)]
+    assert recs[-1]["aggregate"]["cells"] == 2
+    outputs = []
+    for l in ("2,0", "0,2"):
+        assert cli.main(["scan", "--l", l, "--m", "2", "--tau-sizes", "1"]) == cli.EXIT_OK
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+def test_closed_output_pipe_exits_141_without_a_traceback(tmp_path):
+    # the default scan writes more than a pipe buffer holds, so a write after
+    # the reader has gone fails; the grown cache is still saved
+    cache = tmp_path / "coefficients.tsv"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "plethlab.cli", "--cache", str(cache), "scan"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_ENV,
+    )
+    assert proc.stdout.readline().startswith(b'{"cell":')
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE == 141
+    assert b"Traceback" not in err, err.decode()
+    assert cache.stat().st_size > 0
+
+
 def test_scan_bad_m_is_a_usage_error_that_names_it(capsys):
     for m in ("-1", "0"):
         assert cli.main(["scan", "--m", m, "--tau-sizes", "1"]) == cli.EXIT_USAGE

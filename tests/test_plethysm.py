@@ -346,7 +346,8 @@ def test_row_bound_exhaustive():
     "nu,lam,mu",
     [
         ((20, 20), (2, 2), (10,)),  # row route: a small factor above the cap
-        ((36, 36), (6,) * 6, (2,)),  # row route: outer shape not thin
+        ((36, 36), (6,) * 6, (2,)),  # row route: declined by both guards
+        ((10, 4, 4, 2, 2, 2), (7, 1, 1, 1, 1, 1), (2,)),  # row route: not thin
         ((9, 9), (3, 3), (2, 1)),  # two-row inner shape above the full cutoff
     ],
 )

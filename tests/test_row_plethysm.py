@@ -123,9 +123,23 @@ def test_row_route_matches_power_sum_route(lam, m):
 
 
 def test_row_route_declines_fat_shapes():
-    # min(rows, columns) too large for the determinant expansion
+    # declined by both guards: min(rows, columns) = 6 is above _THIN_MAX, and
+    # some Jacobi-Trudi term has a small factor above _SMALL_FACTOR_CAP
     lam = P((6, 6, 6, 6, 6, 6))
     assert rp.row_coefficient(P((18, 18)), lam, 2) is None
+
+
+def test_row_route_thinness_guard_declines_a_hook():
+    # min(rows, columns) = 6, yet every one of the 32 Jacobi-Trudi terms
+    # passes the small-factor cap: the thinness guard alone declines it
+    lam = P((7, 1, 1, 1, 1, 1))
+    _, terms = rp._jacobi_trudi_terms(lam)
+    assert min(len(lam), lam[0]) == 6 > rp._THIN_MAX and len(terms) == 32
+    for m in (2, 3):
+        assert all(m * sorted(sizes)[-2] <= rp._SMALL_FACTOR_CAP for _, sizes in terms)
+        assert rp.row_coefficient(P((10, 4, 4, 2, 2, 2)), lam, m) is None
+    # the dispatcher's fallback, character pairing, gives the value
+    assert plethysm_coefficient((10, 4, 4, 2, 2, 2), lam, (2,)) == 6
 
 
 def test_row_route_declines_just_above_the_small_factor_cap():

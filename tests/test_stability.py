@@ -16,8 +16,13 @@ from plethlab import (
     detect_stabilization,
     grow_arm_legs,
     grow_line,
+    grow_skew_arm_legs,
+    grow_skew_line,
+    parse_skew,
+    partitions_between,
     partitions_of,
     plethysm_coefficient,
+    plethysm_oracle,
     recurrence_coefficient,
     remove_first_column,
     scan,
@@ -144,6 +149,83 @@ def test_sequence_non_contained_inner_gives_zero_sequence():
         SkewShape(P((2,)), P((3,))), S((1,)), 2, 2, 3
     )
     assert coefficient_sequence(spec).values == (0, 0, 0, 0)
+
+
+def test_sequence_value_is_the_grown_skew_coefficient_at_every_j():
+    # growth acts on the outer shapes, so an inner shape that does not fit
+    # at j = 0 can fit later; the first two specs are of that kind
+    def oracle(nu, lam, mu):
+        return plethysm_oracle(lam, mu).get(nu, 0)
+
+    for target, source, l, m in (
+        ("3/2,1", "1/1", 1, 2),
+        ("2/1,1", "1/1", 1, 2),
+        ("3,1/1", "2,1/1,1", 1, 2),
+    ):
+        spec = SequenceSpec(parse_skew(target), parse_skew(source), l, m, 6)
+        values = coefficient_sequence(spec).values
+        grown = [
+            (grow_skew_arm_legs(spec.target, l, m, j), grow_skew_line(spec.source, l, m, j))
+            for j in range(7)
+        ]
+        assert values == tuple(
+            skew_plethysm_coefficient(nu, lam, P((m,))) for nu, lam in grown
+        )
+        if target == "3/2,1":
+            assert values == (0, 1, 1, 1, 1, 1, 1)
+            for j in range(4):
+                assert values[j] == _skew_coefficient(*grown[j], P((m,)), oracle)
+
+
+def _identity_through_sequences(nu, lam, l, m, j_max):
+    """The growth identity's right side at j = 0..j_max, with each row-size
+    m skew family (nu^/alpha, lam'/beta; l, m) read from its sequence."""
+    k = lam.size - len(nu)
+    nu_hat, lam_conj = remove_first_column(nu), conjugate(lam)
+    top_nu = grow_arm_legs(nu_hat, l, m, j_max)
+    top_lam = grow_line(lam_conj, l, m, j_max)
+    totals = [0] * (j_max + 1)
+    for i in range(k + 1):
+        sign = -1 if (k + i) % 2 else 1
+        inner = P((k - i,))
+        for beta in partitions_between((), top_lam, i):
+            for alpha in partitions_between(inner, top_nu, k + m * i):
+                first = skew_plethysm_coefficient(
+                    SkewShape(alpha, inner), S(conjugate(beta)), P((m + 1,))
+                )
+                if not first:
+                    continue
+                spec = SequenceSpec(
+                    SkewShape(nu_hat, alpha), SkewShape(lam_conj, beta), l, m, j_max
+                )
+                for j, v in enumerate(coefficient_sequence(spec).values):
+                    totals[j] += sign * first * v
+    return totals
+
+
+def test_growth_identity_sums_lower_families_through_sequences():
+    # for l <= m the identity writes each row-size m+1 family as a j-free
+    # combination of row-size m skew families; alpha and beta range over the
+    # shapes that fit at the last j, so some of those families have an inner
+    # shape that fits only from some j on
+    j_max, cells = 6, 0
+    for m in (1, 2):
+        for n in (1, 2, 3):
+            for lam in partitions_of(n):
+                for nu in partitions_of((m + 1) * n):
+                    if len(nu) > n:
+                        continue
+                    for l in range(m + 1):
+                        cells += 1
+                        assert _identity_through_sequences(nu, lam, l, m, j_max) == [
+                            plethysm_coefficient(
+                                grow_arm_legs(nu, l, m + 1, j),
+                                grow_line(lam, l, m + 1, j),
+                                P((m + 1,)),
+                            )
+                            for j in range(j_max + 1)
+                        ], (nu, lam, l, m + 1)
+    assert cells == 191
 
 
 def test_sequence_spec_validation():
