@@ -82,7 +82,11 @@ def _iter_words(
     With ``lam`` given, only fillings of that content are produced (with
     pruning as the counts fill up). Entries never exceed their 1-based row
     index, a consequence of the lattice condition used as a search bound.
+    This is where the enumeration route decides that an inner shape which
+    does not fit in ``outer`` has no fillings: it yields nothing.
     """
+    if not contains(outer, inner):
+        return
     boxes = _reading_boxes(outer, inner)
     n = len(boxes)
     if n == 0:
@@ -174,13 +178,9 @@ def _word_to_rows(
 
 
 def lr_fillings(s: SkewShape) -> tuple[LRFilling, ...]:
-    """All admissible fillings of the skew shape, any content.
-
-    Empty when the inner shape is not contained in the outer one.
-    """
+    """All admissible fillings of the skew shape, any content; none when the
+    inner shape does not fit in the outer one."""
     s = as_skew(s)
-    if not s.is_contained:
-        return ()
     out = []
     for word in _iter_words(s.outer, s.inner):
         filling = LRFilling(s, _word_to_rows(s.outer, s.inner, word))
@@ -197,7 +197,7 @@ def lr_coefficient(nu: Iterable[int], lam: Iterable[int], mu: Iterable[int]) -> 
     never materializes the fillings.
     """
     nu, lam, mu = as_partition(nu), as_partition(lam), as_partition(mu)
-    if nu.size != lam.size + mu.size or not contains(nu, mu):
+    if nu.size != lam.size + mu.size:
         return 0
     return sum(1 for _ in _iter_words(nu, mu, lam))
 
@@ -210,8 +210,6 @@ def skew_schur_expansion(s: SkewShape) -> dict[Partition, int]:
     straight shape gives ``{outer: 1}``.
     """
     s = as_skew(s)
-    if not s.is_contained:
-        return {}
     counter: defaultdict[Partition, int] = defaultdict(int)
     for word in _iter_words(s.outer, s.inner):
         counter[_word_type(word)] += 1
@@ -267,7 +265,7 @@ def dual_pieri_expansion(rho: Partition, theta: Partition) -> tuple[tuple[Partit
     """
     if not theta:
         return ((rho, 1),)
-    if theta.size > rho.size or not contains(rho, theta):
+    if not contains(rho, theta):
         return ()
     horizontal, terms = _jacobi_trudi_terms(theta)
     if not horizontal:

@@ -337,11 +337,9 @@ def skew_plethysm_coefficient(target, source, mu: Iterable[int]) -> int:
 
 
 def _skew_coefficient(target, source, mu: Partition, straight: Callable[..., int]) -> int:
-    """Bilinear extension of ``straight(nu, lam, mu)`` to skew nu and lam,
-    both expanded by :func:`dual_pieri_expansion`."""
+    """Bilinear extension of ``straight(nu, lam, mu)`` to skew nu and lam by
+    :func:`dual_pieri_expansion`, empty when an inner shape does not fit."""
     target, source = as_skew(target), as_skew(source)
-    if not target.is_contained or not source.is_contained:
-        return 0
     if not target.inner and not source.inner:
         return straight(target.outer, source.outer, mu)
     if target.size != mu.size * source.size:

@@ -13,7 +13,7 @@ from plethlab import (
     partitions_of,
     skew_schur_expansion,
 )
-from plethlab.lr import _hstrip_removals, dual_pieri_expansion
+from plethlab.lr import _hstrip_removals, _iter_words, dual_pieri_expansion
 
 
 def test_lattice_word_examples():
@@ -36,6 +36,17 @@ def test_fillings_of_small_shapes():
     assert sorted(tuple(f.weight) for f in skew) == [(1, 1), (2,)]
 
     assert lr_fillings(SkewShape(Partition((2,)), Partition((3,)))) == ()
+
+
+def test_inner_shape_with_more_rows_than_the_outer_one_has_no_fillings():
+    # the second row of (1,1) lies below (2), where the reading boxes never
+    # look, so _iter_words itself must find that the inner shape does not fit
+    outer, inner = Partition((2,)), Partition((1, 1))
+    assert list(_iter_words(outer, inner)) == []
+    assert lr_fillings(SkewShape(outer, inner)) == ()
+    assert skew_schur_expansion(SkewShape(outer, inner)) == {}
+    assert dual_pieri_expansion(outer, inner) == ()
+    assert lr_coefficient(outer, (), inner) == 0
 
 
 def test_filling_structure():

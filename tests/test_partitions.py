@@ -21,6 +21,7 @@ from plethlab import (
     remove_first_column,
     union_sort,
 )
+from plethlab.partitions import as_skew
 
 
 @st.composite
@@ -267,6 +268,24 @@ def test_skew_shape_size_and_containment():
     assert s.is_contained and s.size == 4
     zero = SkewShape(Partition((2,)), Partition((3,)))
     assert not zero.is_contained
+
+
+def test_as_skew_reads_each_documented_form():
+    shape = SkewShape(Partition((3, 1)), Partition((1,)))
+    empty = SkewShape(Partition(), Partition())
+    assert as_skew(shape) is shape
+    for value, expected in (
+        (SkewShape((3, 1), (1,)), shape),
+        (((3, 1), (1,)), shape),
+        (([2], [1]), SkewShape(Partition((2,)), Partition((1,)))),
+        (Partition((3, 1)), SkewShape.straight((3, 1))),
+        ((3, 1), SkewShape.straight((3, 1))),
+        ([], empty),
+        (((), ()), empty),
+    ):
+        got = as_skew(value)
+        assert got == expected, value
+        assert type(got.outer) is type(got.inner) is Partition, value
 
 
 def test_text_syntax_round_trip():

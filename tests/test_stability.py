@@ -1,3 +1,4 @@
+import re
 from functools import partial
 
 import pytest
@@ -144,11 +145,30 @@ def test_sequence_skew_inputs():
         assert value == direct
 
 
-def test_sequence_non_contained_inner_gives_zero_sequence():
-    spec = SequenceSpec(
-        SkewShape(P((2,)), P((3,))), S((1,)), 2, 2, 3
-    )
-    assert coefficient_sequence(spec).values == (0, 0, 0, 0)
+def test_sequence_of_an_inner_shape_that_never_fits_is_all_zeros():
+    # arm-only growth (l = m) keeps the outer shape one row long, so a
+    # two-row inner shape never fits; the degrees still match at every j,
+    # as |outer| - |inner| for (4)/(1,1) and, for (4)/(2,1), as
+    # SkewShape.size, the size _skew_coefficient checks before the expansions
+    for inner in ((1, 1), (2, 1)):
+        spec = SequenceSpec(SkewShape(P((4,)), P(inner)), S((1,)), 2, 2, 6)
+        assert coefficient_sequence(spec).values == (0,) * 7
+        for j in range(7):
+            nu = grow_skew_arm_legs(spec.target, 2, 2, j)
+            lam = grow_skew_line(spec.source, 2, 2, j)
+            assert not nu.is_contained
+            degree = nu.outer.size - nu.inner.size if inner == (1, 1) else nu.size
+            assert degree == 2 * lam.size == 2 + 2 * j
+
+
+def test_pair_form_reads_like_a_skew_shape_end_to_end():
+    target, source = ((4, 2), (1, 1)), ((2, 1), (1,))
+    shapes = SkewShape(P((4, 2)), P((1, 1))), SkewShape(P((2, 1)), P((1,)))
+    assert skew_plethysm_coefficient(target, source, (2,)) == 1
+    assert skew_plethysm_coefficient(*shapes, (2,)) == 1
+    for pair in ((target, source), shapes):
+        values = coefficient_sequence(SequenceSpec(*pair, 1, 2, 4)).values
+        assert values == (1, 3, 3, 3, 3)
 
 
 def test_sequence_value_is_the_grown_skew_coefficient_at_every_j():
@@ -346,6 +366,16 @@ def test_growth_identity_examples():
     assert verify_growth_identity(P((4,)), P((2,)), 2, 1, 1).equal
     vac = verify_growth_identity(P((3,)), P((2,)), 1, 1, 1)
     assert vac.vacuous and vac.equal and "vacuous" in vac.note
+
+
+def test_growth_identity_rejects_bad_arguments():
+    for m, l, j, message in (
+        (0, 0, 0, "m must be positive"),
+        (1, 3, 0, "l must satisfy 0 <= l <= m+1"),
+        (1, 1, -1, "j must be nonnegative"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            verify_growth_identity(P((3, 1)), P((1, 1)), l, m, j)
 
 
 def test_growth_identity_report_truth_is_equality():
