@@ -22,10 +22,9 @@ other.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import cache
 from itertools import permutations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .partitions import (
     ExactnessError,
@@ -139,8 +138,7 @@ def _word_type(word: Sequence[int]) -> Partition:
     return Partition(mult)
 
 
-@dataclass(frozen=True)
-class LRFilling:
+class LRFilling(NamedTuple):
     """An admissible filling: the shape plus the values of its boxes.
 
     ``rows[r]`` lists the values of row r left to right, skew boxes only.

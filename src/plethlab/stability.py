@@ -22,9 +22,9 @@ coefficient to a double sum of skew coefficients one row-size down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .partitions import (
     Partition,
@@ -69,20 +69,23 @@ class VerificationError(RuntimeError):
     """A cross-check between two independent computations failed."""
 
 
-@dataclass(frozen=True)
-class SequenceSpec:
-    """A growth family: shapes, growth parameters, and the index range."""
+class SequenceSpec(namedtuple("SequenceSpec", "target source l m j_max")):
+    """A growth family: shapes, growth parameters, and the index range.
 
-    target: SkewShape
-    source: SkewShape
-    l: int
-    m: int
-    j_max: int = DEFAULT_J_MAX
+    Every construction, ``_make`` and ``_replace`` included, reads the shapes
+    by ``as_skew`` and then checks the growth parameters.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "target", as_skew(self.target))
-        object.__setattr__(self, "source", as_skew(self.source))
-        _check_growth_params(self.l, self.m, self.j_max)
+    __slots__ = ()
+
+    def __new__(cls, target, source, l: int, m: int, j_max: int = DEFAULT_J_MAX):
+        target, source = as_skew(target), as_skew(source)
+        _check_growth_params(l, m, j_max)
+        return super().__new__(cls, target, source, l, m, j_max)
+
+    @classmethod
+    def _make(cls, iterable) -> "SequenceSpec":
+        return cls(*iterable)
 
     def to_dict(self) -> dict:
         return {
@@ -94,8 +97,7 @@ class SequenceSpec:
         }
 
 
-@dataclass(frozen=True)
-class SequenceReport:
+class SequenceReport(NamedTuple):
     """Materialized sequence values plus empirical verdicts."""
 
     spec: SequenceSpec
@@ -259,8 +261,9 @@ def recurrence_coefficient(
     return total
 
 
-@dataclass(frozen=True)
-class GrowthIdentityReport:
+class GrowthIdentityReport(NamedTuple):
+    """One check of the growth identity; true exactly when ``equal``."""
+
     lhs: int | None
     rhs: int | None
     equal: bool
@@ -311,32 +314,35 @@ def verify_growth_identity(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScanBounds:
+class ScanBounds(namedtuple("ScanBounds", "tau_sizes m_values l_values")):
     """Enumeration bounds for a straight-shape scan.
 
     For every m, every source partition whose size lies in ``tau_sizes``,
     every target partition of m times that size, and every l (all of
     0..m unless ``l_values`` is given), the scan materializes one growth
     sequence. An m below 1, a negative source size, or a given l that lies
-    outside 0..m for every m raises ValueError.
+    outside 0..m for every m raises ValueError, also from ``_make`` and
+    ``_replace``.
     """
 
-    tau_sizes: tuple[int, ...] = ()
-    m_values: tuple[int, ...] = ()
-    l_values: tuple[int, ...] | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        for m in self.m_values:
+    def __new__(cls, tau_sizes=(), m_values=(), l_values=None):
+        for m in m_values:
             if m < 1:
                 raise ValueError(f"m must be a positive integer, got {m}")
-        for size in self.tau_sizes:
+        for size in tau_sizes:
             if size < 0:
                 raise ValueError(f"tau sizes must be nonnegative, got {size}")
-        top = max(self.m_values, default=0)
-        for l in self.l_values or ():
+        top = max(m_values, default=0)
+        for l in l_values or ():
             if not 0 <= l <= top:
-                raise ValueError(f"l={l} lies outside 0..m for every m in {self.m_values}")
+                raise ValueError(f"l={l} lies outside 0..m for every m in {m_values}")
+        return super().__new__(cls, tau_sizes, m_values, l_values)
+
+    @classmethod
+    def _make(cls, iterable) -> "ScanBounds":
+        return cls(*iterable)
 
     def cells(self) -> Iterator[tuple[Partition, Partition, int, int]]:
         for m in sorted(set(self.m_values)):
@@ -352,8 +358,7 @@ class ScanBounds:
                             yield sigma, tau, l, m
 
 
-@dataclass(frozen=True)
-class ScanCell:
+class ScanCell(NamedTuple):
     target: Partition
     source: Partition
     l: int
@@ -386,8 +391,7 @@ class ScanCell:
         }
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     cells: tuple[ScanCell, ...]
     j_max: int
     window: int

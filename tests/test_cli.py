@@ -395,6 +395,16 @@ def test_scan_malformed_list_is_a_usage_error_that_names_it(capsys):
         assert out.err == f"error: {option} needs comma-separated integers, got {text!r}\n"
 
 
+def test_cli_import_leaves_dataclasses_and_inspect_out():
+    # every CLI call pays for this import; -S keeps site's own imports out
+    code = "import sys, plethlab.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=_ENV
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_engine_tag_carries_the_pyproject_version():
     # every JSONL record names its engine by this version
     tomllib = pytest.importorskip("tomllib")

@@ -49,6 +49,15 @@ def test_inner_shape_with_more_rows_than_the_outer_one_has_no_fillings():
     assert lr_coefficient(outer, (), inner) == 0
 
 
+def test_fillings_are_immutable():
+    (filling,) = lr_fillings(SkewShape.straight((2, 1)))
+    with pytest.raises(AttributeError):
+        filling.rows = ()
+    with pytest.raises(AttributeError):
+        filling.extra = 1
+    assert filling.weight == Partition((2, 1))
+
+
 def test_filling_structure():
     (filling,) = lr_fillings(SkewShape.straight((2, 1)))
     assert filling.rows == ((1, 1), (2,))

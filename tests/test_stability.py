@@ -257,6 +257,66 @@ def test_sequence_spec_validation():
         SequenceSpec(S((1,)), S((1,)), 1, 2, -1)
 
 
+def test_records_are_immutable():
+    spec = SequenceSpec(S((2,)), S((1,)), 1, 2, 3)
+    bounds = ScanBounds(tau_sizes=(1,), m_values=(2,))
+    for record, field, value in (
+        (spec, "m", 3),
+        (bounds, "m_values", (3,)),
+        (GrowthIdentityReport(1, 1, True, False), "equal", False),
+        (ScanCell(P(), P(), 1, 2, None), "l", 0),
+        (coefficient_sequence(spec), "window", 1),
+        (scan(bounds, j_max=2, window=1), "j_max", 3),
+    ):
+        with pytest.raises(AttributeError):
+            setattr(record, field, value)
+        with pytest.raises(AttributeError):
+            record.extra = value
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda spec: spec._replace(m=0), "m must be a positive integer, got 0"),
+        (lambda spec: spec._replace(l=3), "l must satisfy 0 <= l <= m, got l=3, m=2"),
+        (lambda spec: spec._replace(j_max=-1), "j must be nonnegative, got -1"),
+        (lambda spec: SequenceSpec._make((*spec[:3], 0, 4)), "m must be a positive"),
+        (lambda spec: SequenceSpec(spec.target, spec.source, 1, 0, 4), "m must be a positive"),
+        (lambda spec: ScanBounds()._replace(m_values=(0,)), "m must be a positive integer, got 0"),
+        (lambda spec: ScanBounds._make(((-1,), (2,), None)), "tau sizes must be nonnegative"),
+        (lambda spec: ScanBounds(m_values=(0,)), "m must be a positive integer, got 0"),
+        (lambda spec: ScanBounds((1,), (2,))._replace(l_values=(3,)), "l=3 lies outside"),
+    ],
+    ids=[
+        "spec-replace-m",
+        "spec-replace-l",
+        "spec-replace-jmax",
+        "spec-make",
+        "spec-new",
+        "bounds-replace-m",
+        "bounds-make-tau",
+        "bounds-new",
+        "bounds-replace-l",
+    ],
+)
+def test_invalid_records_fail_on_every_construction(build, message):
+    spec = SequenceSpec(S((4,)), S((2,)), 1, 2, 4)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build(spec)
+
+
+def test_replace_and_make_read_shapes_like_the_constructor():
+    spec = SequenceSpec(((4, 2), (1, 1)), ((2, 1), (1,)), 1, 2, 4)
+    assert spec.target == SkewShape(P((4, 2)), P((1, 1)))
+    assert type(spec.target) is SkewShape
+    assert all(type(p) is Partition for p in (*spec.target, *spec.source))
+    moved = spec._replace(source=((2,), ()), j_max=2)
+    assert type(moved) is SequenceSpec and moved.source == S((2,)) and moved.j_max == 2
+    assert type(moved.source.outer) is Partition
+    assert SequenceSpec._make(spec) == spec
+    assert ScanBounds._make(ScanBounds((1,), (2,))) == ScanBounds((1,), (2,), None)
+
+
 # ---------------------------------------------------------------------------
 # the alternating reduction
 # ---------------------------------------------------------------------------
@@ -383,6 +443,14 @@ def test_growth_identity_report_truth_is_equality():
     assert GrowthIdentityReport(3, 3, True, False)
     vac = verify_growth_identity(P((3,)), P((2,)), 1, 1, 1)
     assert vac.vacuous and vac
+
+
+def test_growth_identity_report_truth_ignores_its_length():
+    mismatch = GrowthIdentityReport(1, 2, False, False)
+    assert len(mismatch) == 5 and not mismatch
+    vacuous = GrowthIdentityReport(None, None, True, True, "vacuous")
+    assert vacuous and vacuous.vacuous
+    assert [bool(r) for r in (mismatch, vacuous)] == [False, True]
 
 
 def test_growth_identity_small_sweep():
