@@ -88,13 +88,8 @@ class SequenceSpec(namedtuple("SequenceSpec", "target source l m j_max")):
         return cls(*iterable)
 
     def to_dict(self) -> dict:
-        return {
-            "target": format_skew(self.target),
-            "source": format_skew(self.source),
-            "l": self.l,
-            "m": self.m,
-            "j_max": self.j_max,
-        }
+        target, source = format_skew(self.target), format_skew(self.source)
+        return {**self._asdict(), "target": target, "source": source}
 
 
 class SequenceReport(NamedTuple):
@@ -109,15 +104,12 @@ class SequenceReport(NamedTuple):
     window: int
 
     def to_dict(self) -> dict:
-        return {
-            "spec": self.spec.to_dict(),
-            "values": list(self.values),
-            "stabilization_index": self.stabilization_index,
-            "window_confirmed": self.window_confirmed,
-            "limit": self.limit,
-            "weakly_increasing": self.weakly_increasing,
-            "window": self.window,
-        }
+        return {**self._asdict(), "spec": self.spec.to_dict(), "values": list(self.values)}
+
+
+def _check_window(window: int) -> None:
+    if window < 1:
+        raise ValueError(f"window must be at least 1, got {window}")
 
 
 def detect_stabilization(
@@ -130,11 +122,10 @@ def detect_stabilization(
     least 2 has been observed (a single-element sequence counts as constant
     from its only index).
     """
+    _check_window(window)
     values = list(values)
     if not values:
         raise ValueError("cannot detect stabilization of an empty sequence")
-    if window < 1:
-        raise ValueError(f"window must be at least 1, got {window}")
     last = values[-1]
     j = len(values) - 1
     while j > 0 and values[j - 1] == last:
@@ -145,6 +136,13 @@ def detect_stabilization(
     return j, run >= window
 
 
+def _warm_rows(specs: list[SequenceSpec]) -> None:
+    """Grow the row tables once per m with each family's target at its j_max."""
+    for m in sorted({spec.m for spec in specs}):
+        targets = [grow_arm_legs(s.target.outer, s.l, m, s.j_max) for s in specs if s.m == m]
+        warm_tables(targets, m)
+
+
 def coefficient_sequence(
     spec: SequenceSpec, *, window: int = DEFAULT_WINDOW
 ) -> SequenceReport:
@@ -153,11 +151,10 @@ def coefficient_sequence(
     The value at j is the skew coefficient of the grown shapes, 0 at each j
     where an inner shape does not fit in its grown outer one.
     """
+    _check_window(window)
     target, source = spec.target, spec.source
     mu = Partition((spec.m,))
-    warm_tables(
-        [grow_skew_arm_legs(target, spec.l, spec.m, spec.j_max).outer], spec.m
-    )
+    _warm_rows([spec])
     values = tuple(
         skew_plethysm_coefficient(
             grow_skew_arm_legs(target, spec.l, spec.m, j),
@@ -445,20 +442,14 @@ def scan(
     target in reverse-lexicographic order, then l), so two identical scans
     produce identical reports.
     """
-    cell_specs = list(bounds.cells())
-    for m in sorted({m for _, _, _, m in cell_specs}):
-        warm_tables(
-            [
-                grow_arm_legs(sigma, l, m, j_max)
-                for sigma, _, l, mm in cell_specs
-                if mm == m
-            ],
-            m,
-        )
-    cells = []
-    for sigma, tau, l, m in cell_specs:
-        spec = SequenceSpec(
-            SkewShape.straight(sigma), SkewShape.straight(tau), l, m, j_max
-        )
-        cells.append(ScanCell(sigma, tau, l, m, coefficient_sequence(spec, window=window)))
-    return ScanReport(tuple(cells), j_max, window)
+    _check_window(window)
+    specs = [
+        SequenceSpec(SkewShape.straight(sigma), SkewShape.straight(tau), l, m, j_max)
+        for sigma, tau, l, m in bounds.cells()
+    ]
+    _warm_rows(specs)
+    cells = tuple(
+        ScanCell(s.target.outer, s.source.outer, s.l, s.m, coefficient_sequence(s, window=window))
+        for s in specs
+    )
+    return ScanReport(cells, j_max, window)

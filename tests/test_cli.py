@@ -357,16 +357,16 @@ def test_closed_output_pipe_exits_141_without_a_traceback(tmp_path):
     # the default scan writes more than a pipe buffer holds, so a write after
     # the reader has gone fails; the grown cache is still saved
     cache = tmp_path / "coefficients.tsv"
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "plethlab.cli", "--cache", str(cache), "scan"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=_ENV,
-    )
-    assert proc.stdout.readline().startswith(b'{"cell":')
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE == 141
+    ) as proc:
+        assert proc.stdout.readline().startswith(b'{"cell":')
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE == 141
     assert b"Traceback" not in err, err.decode()
     assert cache.stat().st_size > 0
 

@@ -30,6 +30,7 @@ from plethlab import (
     skew_plethysm_coefficient,
     verify_growth_identity,
 )
+from plethlab import row_plethysm as rp, stability
 from plethlab.plethysm import _skew_coefficient
 from plethlab.stability import _alternating_sum, _deep_coefficient
 
@@ -490,6 +491,40 @@ def test_scan_bounds_reject_bad_row_and_source_sizes():
             ScanBounds(tau_sizes=(1,), m_values=(2, m))
     with pytest.raises(ValueError, match="tau sizes must be nonnegative, got -2"):
         ScanBounds(tau_sizes=(1, -2), m_values=(2,))
+
+
+def test_a_bad_window_fails_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("work started before the window was checked")
+
+    monkeypatch.setattr(stability, "warm_tables", no_work)
+    monkeypatch.setattr(stability, "skew_plethysm_coefficient", no_work)
+    for run in (
+        lambda: scan(ScanBounds((0, 1, 2, 3), (4,)), window=0),
+        lambda: coefficient_sequence(SequenceSpec((6, 3), (3,), 1, 3, 12), window=0),
+    ):
+        with pytest.raises(ValueError, match="^window must be at least 1, got 0$"):
+            run()
+
+
+def test_families_warm_the_row_tables_in_one_batch_per_m(monkeypatch):
+    # a query outside the warmed batch grows the tables by one more Newton
+    # pass per built table, so losing the batch is a silent slowdown
+    grown = []
+    extend_cap = rp._RowTables.extend_cap
+
+    def counted(tables, shapes):
+        grown.append((tables._m, len(shapes)))
+        extend_cap(tables, shapes)
+
+    monkeypatch.setattr(rp._RowTables, "extend_cap", counted)
+    rp.reset_tables()
+    scan(ScanBounds((0, 1, 2, 3), (2, 3)))
+    assert grown == [(3, 180)]
+    grown.clear()
+    rp.reset_tables()
+    coefficient_sequence(SequenceSpec((6, 3), (3,), 1, 3, 12))
+    assert grown == [(3, 1)]
 
 
 def test_scan_small_and_deterministic():
