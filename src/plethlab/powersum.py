@@ -5,12 +5,13 @@ package an expansion is a scale D with integral weights h, standing for h/D:
 a Schur function of degree n has D = n!, which every centralizer order
 divides, and composition (a power sum composed into a power sum multiplies
 the indices) keeps the weights integral. Back in the Schur basis, the empty
-Schur function is multiplied by each power sum in turn, adding border strips
-on beta numbers (the Murnaghan-Nakayama rule read forwards) and sharing
-common prefixes Horner-fashion over a trie of the indices; each total is
-divided by D exactly. One kernel adds strips on beta numbers, with no cap:
-a border strip is its one-ribbon case, and the row tables of
-``row_plethysm`` use it for horizontal strips of ribbons. ``Fraction``
+Schur function is multiplied by each power sum in turn, sharing common
+prefixes Horner-fashion over a trie of the indices; each total is divided by
+D exactly. One kernel adds strips on beta numbers, with no cap: a step p_a
+adds border strips (the Murnaghan-Nakayama rule read forwards), and against
+a one-row inner shape (m), or a one-column one by ω, each p_a of the outer
+shape is read as h_m[p_a], a horizontal strip of m ribbons, so nothing is
+composed; the row tables of ``row_plethysm`` use it too. ``Fraction``
 appears only in the public functions that take or return rational weights,
 and nothing here touches floating point.
 """
@@ -24,7 +25,7 @@ from math import factorial, lcm
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping
 
-from .partitions import ExactnessError, Partition, as_partition, partitions_of
+from .partitions import ExactnessError, Partition, as_partition, conjugate, partitions_of
 
 __all__ = [
     "character_value",
@@ -92,18 +93,18 @@ def _add_ribbon_strips(
 
 
 @cache
-def _strip_additions(shape: Partition, k: int) -> tuple[tuple[Partition, int], ...]:
-    """All ways to add a border strip of k boxes: (bigger, sign) pairs.
+def _strip_additions(shape: Partition, k: int, m: int = 1) -> tuple[tuple[Partition, int], ...]:
+    """All ways to multiply s_shape by h_m[p_k]: (bigger, sign) pairs.
 
-    This is multiplication of a Schur function by p_k = h_1[p_k], the step
-    of :func:`_horner`: the one-ribbon case m = 1 of the rule of Lascoux,
-    Leclerc and Thibon (J. Math. Phys. 38, 1997) in
-    :func:`_add_ribbon_strips`, that is the Murnaghan-Nakayama rule read
-    forwards. A strip of k boxes adds at most k rows, so ``len(shape) + k``
-    beta numbers hold every result.
+    This is the step of :func:`_horner`, the horizontal strips of m ribbons
+    of k boxes in :func:`_add_ribbon_strips` (Lascoux, Leclerc and Thibon,
+    J. Math. Phys. 38, 1997). With m = 1 it adds one border strip, the
+    Murnaghan-Nakayama rule read forwards; m > 1 serves the full expansions
+    against one-row and one-column inner shapes. The strips add at most k·m
+    rows, so ``len(shape) + k·m`` beta numbers hold every result.
     """
     acc: defaultdict[Partition, int] = defaultdict(int)
-    _add_ribbon_strips(acc, shape, 1, k, 1, len(shape) + k, lambda bigger: True)
+    _add_ribbon_strips(acc, shape, 1, k, m, len(shape) + k * m, lambda bigger: True)
     return tuple(acc.items())
 
 
@@ -258,19 +259,20 @@ def _trie(terms: Iterable[tuple[tuple[int, ...], int]]) -> list:
     return root
 
 
-def _horner(node: list, base: Mapping, out: defaultdict) -> defaultdict:
-    """Add Σ w·p_indices·base over the power sums of the trie into out; returns out.
-    A node [w, {a: child}] gives w·base + Σ_a p_a·(the child's sum), each p_a
-    adding border strips to the shapes whose coefficient is nonzero. The full
-    expansions start from base s_∅ (:func:`_to_schur`)."""
+def _horner(node: list, base: Mapping, out: defaultdict, m: int = 1) -> defaultdict:
+    """Add Σ w·Π h_m[p_index]·base over the index tuples of the trie into out;
+    returns out. A node [w, {a: child}] gives w·base + Σ_a h_m[p_a]·(the
+    child's sum), each step adding strips of m ribbons (border strips for
+    m = 1, where h_1[p_a] = p_a) to the shapes whose coefficient is nonzero.
+    The full expansions start from base s_∅ (:func:`_to_schur`)."""
     weight, children = node
     if weight:
         for shape, c in base.items():
             out[shape] += weight * c
     for a, child in children.items():
-        for shape, c in _horner(child, base, defaultdict(int)).items():
+        for shape, c in _horner(child, base, defaultdict(int), m).items():
             if c:
-                for bigger, sign in _strip_additions(shape, a):
+                for bigger, sign in _strip_additions(shape, a, m):
                     out[bigger] += sign * c
     return out
 
@@ -287,16 +289,17 @@ def _exact_quotients(totals: Mapping, denom: int) -> dict:
     return out
 
 
-def _to_schur(denom: int, f: Mapping[Partition, int]) -> dict[Partition, int]:
-    """Schur expansion of f/denom, for f a homogeneous integral power-sum expansion.
+def _to_schur(denom: int, f: Mapping[Partition, int], m: int = 1) -> dict[Partition, int]:
+    """Schur expansion of f/denom, for f a homogeneous integral power-sum
+    expansion, with each p_a read as h_m[p_a] (the plain expansion for m = 1).
 
     The power sums are gathered into a trie by their indices, parts in
-    decreasing order, and :func:`_horner` multiplies them onto s_∅ by border
-    strip additions. Each total is divided by denom exactly; a remainder
-    means f/denom is not an integral symmetric function and raises
+    decreasing order, and :func:`_horner` multiplies them onto s_∅ by strip
+    additions. Each total is divided by denom exactly; a remainder means
+    f/denom is not an integral symmetric function and raises
     :class:`ExactnessError`.
     """
-    totals = _horner(_trie(f.items()), {Partition(): 1}, defaultdict(int))
+    totals = _horner(_trie(f.items()), {Partition(): 1}, defaultdict(int), m)
     return _exact_quotients(totals, denom)
 
 
@@ -312,7 +315,7 @@ def powersum_to_schur(f) -> dict[Partition, int]:
     denom = lcm(*(c.denominator for c in f.values()))
     scaled = {mu: c.numerator * (denom // c.denominator) for mu, c in f.items()}
     # descending tuple order is the reverse-lexicographic order of partitions_of
-    return dict(sorted(_to_schur(denom, scaled).items(), reverse=True))
+    return dict(sorted(_to_schur(denom, scaled, 1).items(), reverse=True))
 
 
 # ---------------------------------------------------------------------------
@@ -328,10 +331,26 @@ def _composed(lam: Partition, mu: Partition) -> tuple[int, dict[Partition, int]]
     return _compose(*_integral_schur(lam), *_integral_schur(mu))
 
 
+def _omega_outer(lam: Partition, size: int) -> Partition:
+    """lam*, with ω(s_lam∘s_mu) = s_lam*∘s_mu' whenever |mu| = size."""
+    return lam if size % 2 == 0 else conjugate(lam)
+
+
 @cache
 def _plethysm_items(lam: Partition, mu: Partition) -> Mapping[Partition, int]:
-    """Read-only full Schur expansion, keys in increasing order. The
-    composition is left uncached, since this expansion is cached itself."""
-    composed = _compose(*_integral_schur(lam), *_integral_schur(mu))
-    schur = _to_schur(*composed)
+    """Read-only full Schur expansion, keys in increasing order.
+
+    Against μ = (m) it is Σ_κ (χ^lam(κ)/z_κ)·Π_i h_m[p_κi] (Lascoux, Leclerc
+    and Thibon), :func:`_to_schur` with h_m[p_a] steps; against μ = (1^m)
+    it is the image of s_lam*∘h_m under ω, which conjugates every index.
+    Other μ compose the power sums, uncached, as this expansion is cached.
+    """
+    m = mu.size
+    if len(mu) == 1:
+        schur = _to_schur(*_integral_schur(lam), m)
+    elif mu and mu[0] == 1:
+        rows = _to_schur(*_integral_schur(_omega_outer(lam, m)), m)
+        schur = {conjugate(nu): c for nu, c in rows.items()}
+    else:
+        schur = _to_schur(*_compose(*_integral_schur(lam), *_integral_schur(mu)), 1)
     return MappingProxyType(dict(sorted(schur.items())))

@@ -8,7 +8,7 @@ from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import plethlab
 from plethlab import (
@@ -27,6 +27,7 @@ from plethlab import (
     skew_plethysm_coefficient,
 )
 from plethlab import plethysm as pl
+from plethlab import powersum as ps
 from plethlab.plethysm import _coefficient_by_characters
 
 P = Partition
@@ -553,6 +554,28 @@ def test_full_expansions_leave_the_composition_cache_alone():
     assert pl._composed.cache_info().currsize == 0
 
 
+@st.composite
+def outer_and_line(draw):
+    """(lam, mu) with mu one row or one column, |lam|·|mu| <= 16, lam = ∅ included."""
+    m = draw(st.integers(1, 16))
+    lam = draw(st.sampled_from(list(partitions_of(draw(st.integers(0, 16 // m))))))
+    return lam, P((m,)) if draw(st.booleans()) else P((1,) * m)
+
+
+@given(outer_and_line())
+@example((P(()), P((4,))))
+@example((P(()), P((1, 1, 1))))
+@example((P((3, 1)), P((1,))))
+@example((P((2, 2, 1)), P((1, 1, 1))))
+@settings(max_examples=60, deadline=None)
+def test_one_row_and_one_column_inner_shapes_match_the_composition_route(pair):
+    # h_m[p_a] steps (and ω for a column) against p_ρ with ρ ⊢ |lam|·|mu|
+    lam, mu = pair
+    composed = ps._compose(*ps._integral_schur(lam), *ps._integral_schur(mu))
+    expected = sorted(ps._to_schur(*composed).items())
+    assert list(ps._plethysm_items.__wrapped__(lam, mu).items()) == expected
+
+
 @given(st.integers(0, 8).flatmap(
     lambda n: st.dictionaries(
         st.sampled_from(list(partitions_of(n))), st.integers(-5, 5), max_size=6
@@ -591,6 +614,18 @@ except ExactnessError:
     pass
 else:
     sys.exit("a non-integral character pairing was not detected")
+
+from plethlab import powersum
+
+integral_schur = powersum._integral_schur
+powersum._integral_schur = lambda lam: (integral_schur(lam)[0] + 1, integral_schur(lam)[1])
+for inner in ((3,), (1, 1, 1)):
+    try:
+        powersum._plethysm_items.__wrapped__(Partition((2,)), Partition(inner))
+    except ExactnessError:
+        pass
+    else:
+        sys.exit(f"a wrong scale against {inner} was not detected")
 """
 
 

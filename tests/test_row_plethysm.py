@@ -467,6 +467,18 @@ def test_ribbon_strips_match_horner_over_the_power_sums(case):
         assert expected == {nu: sign for nu, sign in rp._strip_additions(mu, r) if inside(nu)}
 
 
+@given(small_shapes, st.integers(1, 4), st.sampled_from((2, 3)))
+@settings(max_examples=80, deadline=None)
+def test_ribbon_strip_steps_match_horner_over_the_power_sums(shape, k, m):
+    # the full expansions' step s_shape·h_m[p_k], against s_shape times
+    # Σ_κ (m!/z_κ)·p_(k·κ) / m!
+    scale, weights = _integral_schur(P((m,)))
+    trie = _trie((sorted(k * part for part in kappa), w) for kappa, w in weights.items())
+    totals = _horner(trie, {shape: 1}, defaultdict(int))
+    got = {nu: sign for nu, sign in rp._strip_additions(shape, k, m) if sign}
+    assert got == _exact_quotients(totals, scale)
+
+
 @pytest.mark.parametrize("m", range(1, 7))
 def test_row_weights_are_scaled_by_m_factorial(m):
     # the row shape's power-sum weights m!/z_κ are integers summing to m!;
