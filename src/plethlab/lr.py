@@ -231,23 +231,25 @@ def _hstrip_removals(shape: Partition, k: int) -> tuple[Partition, ...]:
 
 @cache
 def _jacobi_trudi_terms(theta: Partition) -> tuple[bool, tuple[tuple[int, tuple[int, ...]], ...]]:
-    """Jacobi-Trudi terms of a nonempty theta: (horizontal, ((sign, sizes), ...)).
+    """Jacobi-Trudi terms of a nonempty theta: (horizontal, ((weight, sizes), ...)).
 
     Over the rows of theta (h entries, ``horizontal``) or its columns (e
     entries), whichever side is shorter: a permutation w of that side's parts
     gives sign(w) and the sizes parts[i] - i + w(i), unless one is negative.
+    Each product appears once, its positive sizes decreasing, weighted by
+    the sum of its signs; a product of weight 0 is dropped.
     """
     horizontal = len(theta) <= theta[0]
     parts = theta if horizontal else conjugate(theta)
     k = len(parts)
-    terms = []
+    weights: defaultdict[tuple[int, ...], int] = defaultdict(int)
     for w in permutations(range(k)):
-        sizes = tuple(parts[i] - i + w[i] for i in range(k))
+        sizes = [parts[i] - i + w[i] for i in range(k)]
         if min(sizes) < 0:
             continue
         inversions = sum(w[i] > w[j] for i in range(k) for j in range(i + 1, k))
-        terms.append((-1 if inversions % 2 else 1, sizes))
-    return horizontal, tuple(terms)
+        weights[tuple(sorted(filter(None, sizes), reverse=True))] += -1 if inversions % 2 else 1
+    return horizontal, tuple((c, sizes) for sizes, c in weights.items() if c)
 
 
 @cache
@@ -256,10 +258,10 @@ def dual_pieri_expansion(rho: Partition, theta: Partition) -> tuple[tuple[Partit
 
     Same numbers as :func:`skew_schur_expansion` of ``rho/x`` read the other
     way: the pair ``(x, c)`` satisfies c = c^rho_{theta,x}. Computed by
-    applying the terms of theta's Jacobi-Trudi determinant over its rows to
-    rho as iterated horizontal strip removals; this scales to large rho as
-    long as theta stays small. A theta with more rows than columns goes
-    through the conjugation symmetry c^rho_{theta,x} = c^rho'_{theta',x'}.
+    applying each product of theta's Jacobi-Trudi determinant over its rows,
+    once and times its weight, to rho as iterated horizontal strip removals,
+    which scales to large rho while theta stays small. A theta with more rows
+    than columns goes through conjugation: c^rho_{theta,x} = c^rho'_{theta',x'}.
     """
     if not theta:
         return ((rho, 1),)
@@ -270,11 +272,9 @@ def dual_pieri_expansion(rho: Partition, theta: Partition) -> tuple[tuple[Partit
         flipped = dual_pieri_expansion(conjugate(rho), conjugate(theta))
         return tuple(sorted((conjugate(x), c) for x, c in flipped))
     acc: defaultdict[Partition, int] = defaultdict(int)
-    for sign, sizes in terms:
+    for weight, sizes in terms:
         level: dict[Partition, int] = {rho: 1}
         for s in sizes:
-            if s == 0:
-                continue
             nxt: defaultdict[Partition, int] = defaultdict(int)
             for shape, c in level.items():
                 for sub in _hstrip_removals(shape, s):
@@ -283,7 +283,7 @@ def dual_pieri_expansion(rho: Partition, theta: Partition) -> tuple[tuple[Partit
             if not level:
                 break
         for shape, c in level.items():
-            acc[shape] += sign * c
+            acc[shape] += weight * c
     result = tuple((p, c) for p, c in sorted(acc.items()) if c)
     if any(c <= 0 for _, c in result):
         raise ExactnessError(f"negative coefficient in the expansion of {rho}/{theta}")

@@ -42,11 +42,9 @@ from .powersum import (
     _exact_quotients,
     _omega_outer,
     _plethysm_items,
-    # unused here, kept importable from plethysm; perfbench traces two of them
-    character_value,
+    # unused here: perfbench/layers.py traces both in this namespace
     powersum_plethysm,
     powersum_to_schur,
-    schur_to_powersum,
 )
 from .row_plethysm import row_coefficient
 

@@ -9,10 +9,10 @@ homomorphism in the first argument. Each determinant term is then a product
 of one-piece compositions: complete homogeneous pieces on the row side,
 elementary pieces on the column side.
 
-Pairing a determinant term against the target Schur function peels off the
-small factors by skew expansions of the target (cheap as long as the peeled
-degrees stay small) and finishes with a lookup of the single remaining big
-factor:
+One function, :func:`_term_coefficient`, pairs a determinant term against
+the target Schur function: it peels off the small factors by skew
+expansions of the target (cheap as long as the peeled degrees stay small)
+and finishes with a lookup of the single remaining big factor:
 
 * for a row of size 2 the lookups are classical closed forms: the complete
   side is supported on partitions with all rows even, the elementary side on
@@ -62,7 +62,7 @@ __all__ = ["row_coefficient", "warm_tables", "reset_tables"]
 # A determinant term may carry at most one factor whose composed degree
 # exceeds this; all smaller factors are peeled through skew expansions.
 _SMALL_FACTOR_CAP = 18
-# Maximum number of Jacobi-Trudi rows (= permutations up to 120 terms).
+# Maximum number of Jacobi-Trudi rows: up to 120 permutations, fewer products.
 _THIN_MAX = 5
 
 
@@ -209,6 +209,33 @@ def warm_tables(nus: Iterable[Iterable[int]], m: int) -> None:
             tables.extend_cap(new)
 
 
+def _term_coefficient(kind: str, sizes: tuple[int, ...], nu: Partition, m: int) -> int:
+    """Coefficient of nu in the product of (h or e, by kind)_s over the
+    positive decreasing sizes, composed with h_m: the smaller factors are
+    peeled off nu by skew expansions, and the largest is read off the m = 2
+    closed forms or the row tables of m, which must already cover nu."""
+    big, *smalls = sizes
+    level: dict[Partition, int] = {nu: 1}
+    inner = Partition((m,)) if smalls else None
+    for s in smalls:
+        nxt: defaultdict[Partition, int] = defaultdict(int)
+        piece = Partition((s,) if kind == "h" else (1,) * s)
+        expansion = _plethysm_items(piece, inner).items()
+        for rho, c in level.items():
+            for theta, tc in expansion:
+                for smaller, c2 in dual_pieri_expansion(rho, theta):
+                    nxt[smaller] += c * tc * c2
+        level = {sh: v for sh, v in nxt.items() if v}
+    if m == 2:
+        closed_form = _all_even_rows if kind == "h" else _arm_excess_one
+        return sum(c for rho, c in level.items() if closed_form(rho))
+    tables = _tables_for(m)
+    if big >= len(tables.tables[kind]):
+        tables.ensure(kind, big)
+    table = tables.tables[kind][big]
+    return sum(c * table.get(rho, 0) for rho, c in level.items())
+
+
 def row_coefficient(nu: Partition, lam: Partition, m: int) -> int | None:
     """Coefficient of nu in the composition of lam with a one-row shape.
 
@@ -217,38 +244,9 @@ def row_coefficient(nu: Partition, lam: Partition, m: int) -> int | None:
     """
     if min(len(lam), lam[0]) > _THIN_MAX:
         return None
-    horizontal, jacobi_trudi = _jacobi_trudi_terms(lam)
-    if any(m * s > _SMALL_FACTOR_CAP for _, sizes in jacobi_trudi for s in sorted(sizes)[-2:-1]):
+    horizontal, terms = _jacobi_trudi_terms(lam)
+    if any(m * s > _SMALL_FACTOR_CAP for _, sizes in terms for s in sizes[1:2]):
         return None
+    warm_tables((nu,), m)
     kind = "h" if horizontal else "e"
-    if m == 2:
-        closed_form = _all_even_rows if kind == "h" else _arm_excess_one
-
-        def entry(big: int, rho: Partition) -> int:
-            return closed_form(rho)
-
-    else:
-        warm_tables((nu,), m)
-        tables = _tables_for(m)
-        tabs = tables.tables[kind]
-
-        def entry(big: int, rho: Partition) -> int:
-            if big >= len(tabs):
-                tables.ensure(kind, big)
-            return tabs[big].get(rho, 0)
-
-    inner = Partition((m,))
-    total = 0
-    for sign, sizes in jacobi_trudi:
-        big, *smalls = sorted(filter(None, sizes), reverse=True)
-        level: dict[Partition, int] = {nu: 1}
-        for s in smalls:
-            nxt: defaultdict[Partition, int] = defaultdict(int)
-            expansion = _plethysm_items(Partition((s,) if kind == "h" else (1,) * s), inner).items()
-            for rho, c in level.items():
-                for theta, tc in expansion:
-                    for smaller, c2 in dual_pieri_expansion(rho, theta):
-                        nxt[smaller] += c * tc * c2
-            level = {sh: v for sh, v in nxt.items() if v}
-        total += sign * sum(c * entry(big, rho) for rho, c in level.items())
-    return total
+    return sum(weight * _term_coefficient(kind, sizes, nu, m) for weight, sizes in terms)

@@ -1,4 +1,5 @@
-from itertools import product
+from collections import defaultdict
+from itertools import permutations, product
 
 from hypothesis import example, given, settings, strategies as st
 import pytest
@@ -13,7 +14,7 @@ from plethlab import (
     partitions_of,
     skew_schur_expansion,
 )
-from plethlab.lr import _hstrip_removals, _iter_words, dual_pieri_expansion
+from plethlab.lr import _hstrip_removals, _iter_words, _jacobi_trudi_terms, dual_pieri_expansion
 
 
 def test_lattice_word_examples():
@@ -157,6 +158,42 @@ def test_dual_pieri_matches_enumeration(pair):
         if c:
             want[x] = c
     assert got == want
+
+
+def _permutation_sign(w):
+    # (-1)^(n - number of cycles), counted independently of inversions
+    seen, cycles = set(), 0
+    for start in range(len(w)):
+        if start not in seen:
+            cycles += 1
+            while start not in seen:
+                seen.add(start)
+                start = w[start]
+    return -1 if (len(w) - cycles) % 2 else 1
+
+
+def test_jacobi_trudi_terms_merge_equal_products():
+    # one term per distinct product: positive sizes in decreasing order,
+    # weighted by the summed signs of its permutations, none of weight 0
+    checked = 0
+    for n in range(1, 13):
+        for theta in partitions_of(n):
+            if min(len(theta), theta[0]) > 5:
+                continue
+            horizontal = len(theta) <= theta[0]
+            parts = theta if horizontal else conjugate(theta)
+            weights = defaultdict(int)
+            for w in permutations(range(len(parts))):
+                sizes = [part - i + w[i] for i, part in enumerate(parts)]
+                if min(sizes) >= 0:
+                    key = tuple(sorted((s for s in sizes if s), reverse=True))
+                    weights[key] += _permutation_sign(w)
+            want = {sizes: c for sizes, c in weights.items() if c}
+            got_horizontal, terms = _jacobi_trudi_terms(theta)
+            assert got_horizontal == horizontal
+            assert len(terms) == len(want) and {sizes: c for c, sizes in terms} == want
+            checked += 1
+    assert checked == 267
 
 
 @given(

@@ -122,6 +122,21 @@ def test_row_route_matches_power_sum_route(lam, m):
                 break
 
 
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("lam", [(4, 1, 1, 1), (5, 1, 1, 1), (4, 1, 1, 1, 1)])
+def test_row_route_on_shapes_whose_products_merge(lam, m):
+    # two permutations give the same product, sizes (4, 2, 1) or (5, 2, 1),
+    # so it carries weight -2; every target is checked, zero or not
+    lam = P(lam)
+    _, terms = rp._jacobi_trudi_terms(lam)
+    assert any(abs(weight) > 1 for weight, _ in terms)
+    full = _plethysm_items(lam, P((m,)))
+    targets = [nu for nu in partitions_of(lam.size * m) if len(nu) <= lam.size]
+    rp.warm_tables(targets, m)
+    for nu in targets:
+        assert rp.row_coefficient(nu, lam, m) == full.get(nu, 0)
+
+
 def test_row_route_declines_fat_shapes():
     # declined by both guards: min(rows, columns) = 6 is above _THIN_MAX, and
     # some Jacobi-Trudi term has a small factor above _SMALL_FACTOR_CAP
@@ -130,13 +145,13 @@ def test_row_route_declines_fat_shapes():
 
 
 def test_row_route_thinness_guard_declines_a_hook():
-    # min(rows, columns) = 6, yet every one of the 32 Jacobi-Trudi terms
+    # min(rows, columns) = 6, yet every one of the 19 Jacobi-Trudi products
     # passes the small-factor cap: the thinness guard alone declines it
     lam = P((7, 1, 1, 1, 1, 1))
     _, terms = rp._jacobi_trudi_terms(lam)
-    assert min(len(lam), lam[0]) == 6 > rp._THIN_MAX and len(terms) == 32
+    assert min(len(lam), lam[0]) == 6 > rp._THIN_MAX and len(terms) == 19
     for m in (2, 3):
-        assert all(m * sorted(sizes)[-2] <= rp._SMALL_FACTOR_CAP for _, sizes in terms)
+        assert all(m * s <= rp._SMALL_FACTOR_CAP for _, sizes in terms for s in sizes[1:2])
         assert rp.row_coefficient(P((10, 4, 4, 2, 2, 2)), lam, m) is None
     # the dispatcher's fallback, character pairing, gives the value
     assert plethysm_coefficient((10, 4, 4, 2, 2, 2), lam, (2,)) == 6
