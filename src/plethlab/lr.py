@@ -15,8 +15,8 @@ For large diagrams the package never enumerates fillings of the big shape.
 Skew expansions of large shapes by a small removed shape go through
 :func:`dual_pieri_expansion`, an iterated horizontal strip removal driven by
 the Jacobi-Trudi determinant of the small shape (conjugated first when it is
-tall). The two routes compute the same numbers and are tested against each
-other.
+tall), by the one-box case of :func:`powersum._remove_ribbon_strips`. The two
+routes compute the same numbers and are tested against each other.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from .partitions import (
     as_skew,
     conjugate,
     contains,
-    partitions_between,
 )
+from .powersum import _remove_ribbon_strips
 
 __all__ = [
     "is_lattice_word",
@@ -220,16 +220,6 @@ def skew_schur_expansion(s: SkewShape) -> dict[Partition, int]:
 
 
 @cache
-def _hstrip_removals(shape: Partition, k: int) -> tuple[Partition, ...]:
-    """Partitions obtained by removing a horizontal strip of k boxes: those
-    of |shape| - k boxes between shape without its first row and shape
-    itself, which are the ones interlacing shape."""
-    if k > shape.size:
-        return ()
-    return tuple(partitions_between(shape[1:], shape, shape.size - k))
-
-
-@cache
 def _jacobi_trudi_terms(theta: Partition) -> tuple[bool, tuple[tuple[int, tuple[int, ...]], ...]]:
     """Jacobi-Trudi terms of a nonempty theta: (horizontal, ((weight, sizes), ...)).
 
@@ -259,9 +249,9 @@ def dual_pieri_expansion(rho: Partition, theta: Partition) -> tuple[tuple[Partit
     Same numbers as :func:`skew_schur_expansion` of ``rho/x`` read the other
     way: the pair ``(x, c)`` satisfies c = c^rho_{theta,x}. Computed by
     applying each product of theta's Jacobi-Trudi determinant over its rows,
-    once and times its weight, to rho as iterated horizontal strip removals,
-    which scales to large rho while theta stays small. A theta with more rows
-    than columns goes through conjugation: c^rho_{theta,x} = c^rho'_{theta',x'}.
+    once and times its weight, to rho as iterated one-box ribbon-strip
+    removals (horizontal strips), which scales to large rho while theta stays
+    small. A tall theta is conjugated: c^rho_{theta,x} = c^rho'_{theta',x'}.
     """
     if not theta:
         return ((rho, 1),)
@@ -277,8 +267,8 @@ def dual_pieri_expansion(rho: Partition, theta: Partition) -> tuple[tuple[Partit
         for s in sizes:
             nxt: defaultdict[Partition, int] = defaultdict(int)
             for shape, c in level.items():
-                for sub in _hstrip_removals(shape, s):
-                    nxt[sub] += c
+                for sub, sign in _remove_ribbon_strips(shape, 1, s):
+                    nxt[sub] += sign * c
             level = nxt
             if not level:
                 break

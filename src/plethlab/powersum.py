@@ -11,9 +11,10 @@ D exactly. One kernel adds strips on beta numbers, with no cap: a step p_a
 adds border strips (the Murnaghan-Nakayama rule read forwards), and against
 a one-row inner shape (m), or a one-column one by ω, each p_a of the outer
 shape is read as h_m[p_a], a horizontal strip of m ribbons, so nothing is
-composed; the row tables of ``row_plethysm`` use it too. ``Fraction``
-appears only in the public functions that take or return rational weights,
-and nothing here touches floating point.
+composed; ``row_plethysm``'s row tables use it too. One kernel removes them,
+a skew by h_m[p_r], for that module's peel and ``lr``'s horizontal strips;
+characters keep their own. ``Fraction`` appears only in the public functions
+that take or return rational weights, and nothing here touches floats.
 """
 
 from __future__ import annotations
@@ -90,6 +91,50 @@ def _add_ribbon_strips(
                     place(at + 1, left - d, moved, rows, signed)
 
     place(0, m, parts, len(shape), c)
+
+
+@cache
+def _remove_ribbon_strips(shape: Partition, r: int, m: int) -> tuple[tuple[Partition, int], ...]:
+    """All ways to skew s_shape by h_m[p_r], the adjoint of
+    :func:`_add_ribbon_strips`: (smaller, sign) pairs. A bead sits at
+    shape_i - i, with implicit beads at every position <= -len(shape), and
+    drops by d·r: d is at most the number of free slots on its runner down to
+    the next bead of that runner in shape, and the d's add up to m. The
+    bottom bead moves first, one r-step at a time; each step removes a border
+    strip of r boxes, with sign (-1)^(beads passed), so +1 for r = 1.
+    """
+    if not m:
+        return ((shape, 1),)
+    n, movable, below = len(shape), [], {}
+    for i in range(n - 1, -1, -1):
+        bead = shape[i] - i
+        # the runner's next bead down: in a lower row, or the top implicit one
+        if room := min(m, (bead - below.get(bead % r, -n - (-n - bead) % r)) // r - 1):
+            movable.append((i, room))
+        below[bead % r] = bead
+    acc: defaultdict[Partition, int] = defaultdict(int)
+
+    def place(first: int, left: int, parts: list[int], c: int) -> None:
+        for at in range(first, len(movable)):
+            # bead q still sits in row q: the beads below it moved down or stayed
+            (q, room), moved, signed = movable[at], parts, c
+            for d in range(1, (room if room < left else left) + 1):
+                bead, p = moved[q] - q - r, q
+                while p + 1 < n and moved[p + 1] - p - 1 > bead:
+                    p += 1
+                moved = moved[:]
+                if p == q:  # the step passes no bead
+                    moved[q] = bead + q
+                else:  # the beads passed each move up a row
+                    moved[q : p + 1] = [x - 1 for x in moved[q + 1 : p + 1]] + [bead + p]
+                    signed, q = -signed if (p - q) % 2 else signed, p
+                if d < left:
+                    place(at + 1, left - d, moved, signed)
+                else:
+                    acc[tuple.__new__(Partition, filter(None, moved))] += signed
+
+    place(0, m, list(shape), 1)
+    return tuple(acc.items())
 
 
 @cache

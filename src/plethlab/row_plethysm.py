@@ -1,18 +1,16 @@
 """Large plethysm coefficients against a one-row inner shape.
 
 For an inner shape with a single row, the outer Schur function is expanded
-through its Jacobi-Trudi determinant, over its rows or its columns
-(whichever side is shorter; the terms are the ones
-:func:`lr.dual_pieri_expansion` uses), and composition distributes over the
-determinant because composing with a fixed symmetric function is a ring
-homomorphism in the first argument. Each determinant term is then a product
-of one-piece compositions: complete homogeneous pieces on the row side,
-elementary pieces on the column side.
+through its Jacobi-Trudi determinant, over its rows or its columns,
+whichever side is shorter, and composition distributes over the determinant
+because composing with a fixed symmetric function is a ring homomorphism in
+the first argument. Each determinant term is then a product of one-piece
+compositions: complete homogeneous pieces on the row side, elementary pieces
+on the column side.
 
 One function, :func:`_term_coefficient`, pairs a determinant term against
-the target Schur function: it peels off the small factors by skew
-expansions of the target (cheap as long as the peeled degrees stay small)
-and finishes with a lookup of the single remaining big factor:
+the target Schur function: it peels the small factors off the target (see
+the end) and looks up the single remaining big factor:
 
 * for a row of size 2 the lookups are classical closed forms: the complete
   side is supported on partitions with all rows even, the elementary side on
@@ -36,9 +34,11 @@ and finishes with a lookup of the single remaining big factor:
   "cap" is the targets' row-wise maximum, and a branch ends at the first
   ribbon whose shape leaves the envelope.
 
-The route declines (returns None) when the outer shape is not thin enough or
-a determinant term would carry two large factors; callers then fall back to
-a slower general method.
+The peel reads the same identity for adjoints, b·P_b = Σ_r ±(h_m[p_r])^⊥
+P_(b-r) with P_0 the target's expansion so far: each skew by h_m[p_r] is a
+signed sum over removals of horizontal strips of m ribbons, again divided by
+b exactly. The route declines (returns None) only when the outer shape is
+not thin enough; callers then fall back to a slower general method.
 """
 
 from __future__ import annotations
@@ -48,20 +48,17 @@ from functools import cache
 from itertools import zip_longest
 from typing import Callable, Iterable
 
-from .lr import _jacobi_trudi_terms, dual_pieri_expansion
+from .lr import _jacobi_trudi_terms
 from .partitions import Partition, as_partition
 from .powersum import (
     _add_ribbon_strips,
     _exact_quotients,
-    _plethysm_items,
+    _remove_ribbon_strips,
     _strip_additions,  # noqa: F401  perfbench/layers.py reads the border-strip cache here
 )
 
 __all__ = ["row_coefficient", "warm_tables", "reset_tables"]
 
-# A determinant term may carry at most one factor whose composed degree
-# exceeds this; all smaller factors are peeled through skew expansions.
-_SMALL_FACTOR_CAP = 18
 # Maximum number of Jacobi-Trudi rows: up to 120 permutations, fewer products.
 _THIN_MAX = 5
 
@@ -212,20 +209,20 @@ def warm_tables(nus: Iterable[Iterable[int]], m: int) -> None:
 def _term_coefficient(kind: str, sizes: tuple[int, ...], nu: Partition, m: int) -> int:
     """Coefficient of nu in the product of (h or e, by kind)_s over the
     positive decreasing sizes, composed with h_m: the smaller factors are
-    peeled off nu by skew expansions, and the largest is read off the m = 2
-    closed forms or the row tables of m, which must already cover nu."""
+    peeled off nu by ribbon-strip removals, and the largest is read off the
+    m = 2 closed forms or the row tables of m, which must already cover nu."""
     big, *smalls = sizes
     level: dict[Partition, int] = {nu: 1}
-    inner = Partition((m,)) if smalls else None
     for s in smalls:
-        nxt: defaultdict[Partition, int] = defaultdict(int)
-        piece = Partition((s,) if kind == "h" else (1,) * s)
-        expansion = _plethysm_items(piece, inner).items()
-        for rho, c in level.items():
-            for theta, tc in expansion:
-                for smaller, c2 in dual_pieri_expansion(rho, theta):
-                    nxt[smaller] += c * tc * c2
-        level = {sh: v for sh, v in nxt.items() if v}
+        peeled = [level]
+        for b in range(1, s + 1):
+            acc: defaultdict[Partition, int] = defaultdict(int)
+            for r in range(1, b + 1):
+                for shape, c in peeled[b - r].items():
+                    for smaller, sign in _remove_ribbon_strips(shape, r, m):
+                        acc[smaller] += sign * c if kind == "h" or r % 2 else -sign * c
+            peeled.append(_exact_quotients(acc, b))
+        level = peeled[s]
     if m == 2:
         closed_form = _all_even_rows if kind == "h" else _arm_excess_one
         return sum(c for rho, c in level.items() if closed_form(rho))
@@ -245,8 +242,6 @@ def row_coefficient(nu: Partition, lam: Partition, m: int) -> int | None:
     if min(len(lam), lam[0]) > _THIN_MAX:
         return None
     horizontal, terms = _jacobi_trudi_terms(lam)
-    if any(m * s > _SMALL_FACTOR_CAP for _, sizes in terms for s in sizes[1:2]):
-        return None
     warm_tables((nu,), m)
     kind = "h" if horizontal else "e"
     return sum(weight * _term_coefficient(kind, sizes, nu, m) for weight, sizes in terms)

@@ -231,12 +231,12 @@ def test_default_scan_output_is_pinned(capsys):
 def test_m4_scan_output_is_pinned(capsys):
     # m = 4 goes through the row tables, where the envelope prunes the most
     # shapes; no benchmark digest covers it
-    assert cli.main(["scan", "--m", "4", "--tau-sizes", "0,1"]) == 0
+    assert cli.main(["scan", "--m", "4", "--tau-sizes", "0,1,2,3"]) == 0
     out = capsys.readouterr().out
-    assert out.count("\n") == 31
+    assert out.count("\n") == 1406
     assert (
         hashlib.sha256(out.encode()).hexdigest()
-        == "4c761da60eb4f881975fc0e5cef217dea501939034591e287c99eacf6702a006"
+        == "ebe0b7a008589582a07bdafcf928a2d5424540cc07b44f957f3f9f3ae7918f42"
     )
 
 

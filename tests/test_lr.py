@@ -14,7 +14,8 @@ from plethlab import (
     partitions_of,
     skew_schur_expansion,
 )
-from plethlab.lr import _hstrip_removals, _iter_words, _jacobi_trudi_terms, dual_pieri_expansion
+from plethlab.lr import _iter_words, _jacobi_trudi_terms, dual_pieri_expansion
+from plethlab.powersum import _remove_ribbon_strips
 
 
 def test_lattice_word_examples():
@@ -202,12 +203,13 @@ def test_jacobi_trudi_terms_merge_equal_products():
 )
 @settings(max_examples=150, deadline=None)
 def test_hstrip_removals_are_the_validated_interlacing_shapes(shape, k):
-    # kappa interlaces shape (shape[i+1] <= kappa[i] <= shape[i]) with k boxes fewer
+    # the ribbon-strip removals of one-box ribbons: kappa interlaces shape
+    # (shape[i+1] <= kappa[i] <= shape[i]) with k boxes fewer, each of sign +1;
+    # k = 0 gives shape itself
     below = tuple(shape[1:]) + (0,)
     rows = product(*(range(b, part + 1) for b, part in zip(below, shape)))
-    want = sorted(
-        (Partition(kappa) for kappa in rows if sum(kappa) == shape.size - k), reverse=True
-    )
-    got = _hstrip_removals(shape, k)
-    assert list(got) == want
-    assert all(type(p) is Partition and tuple(p) == tuple(Partition(p)) for p in got)
+    want = sorted((Partition(kappa), 1) for kappa in rows if sum(kappa) == shape.size - k)
+    got = _remove_ribbon_strips(shape, 1, k)
+    assert sorted(got) == want
+    assert all(type(p) is Partition and tuple(p) == tuple(Partition(p)) for p, _ in got)
+    assert _remove_ribbon_strips(shape, 1, 0) == ((shape, 1),)

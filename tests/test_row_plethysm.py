@@ -1,13 +1,13 @@
 """Cross-checks of the large-coefficient route against the power-sum route.
 
-The two routes are not independent: both add border strips through
-``powersum._add_ribbon_strips``, and ``row_coefficient`` peels its small
-factors through the cached full expansions of ``_plethysm_items``. The
-independent anchors are the brute-force border-strip test
-(``test_strip_additions_match_brute_force``), which checks the strip kernel
-against strips found cell by cell, and character pairing
-(``_coefficient_by_characters``), which reaches the coefficients through
-Murnaghan-Nakayama characters and uses neither of those.
+The two routes share one kernel: both add border strips through
+``powersum._add_ribbon_strips``. ``row_coefficient`` peels its small
+factors through the removal kernel ``powersum._remove_ribbon_strips``,
+which the full expansions do not use. The independent anchors are the
+brute-force border-strip test (``test_strip_additions_match_brute_force``),
+which checks the addition kernel against strips found cell by cell, and
+character pairing (``_coefficient_by_characters``), which reaches the
+coefficients through Murnaghan-Nakayama characters and uses neither kernel.
 """
 
 import os
@@ -34,7 +34,14 @@ from plethlab import (
 )
 from plethlab.plethysm import _coefficient_by_characters, _plethysm_items, plethysm_coefficient
 from plethlab import row_plethysm as rp
-from plethlab.powersum import _exact_quotients, _horner, _integral_schur, _strip_removals, _trie
+from plethlab.powersum import (
+    _exact_quotients,
+    _horner,
+    _integral_schur,
+    _remove_ribbon_strips,
+    _strip_removals,
+    _trie,
+)
 
 P = Partition
 
@@ -138,35 +145,37 @@ def test_row_route_on_shapes_whose_products_merge(lam, m):
 
 
 def test_row_route_declines_fat_shapes():
-    # declined by both guards: min(rows, columns) = 6 is above _THIN_MAX, and
-    # some Jacobi-Trudi term has a small factor above _SMALL_FACTOR_CAP
+    # declined by the thinness guard: min(rows, columns) = 6 is above _THIN_MAX
     lam = P((6, 6, 6, 6, 6, 6))
     assert rp.row_coefficient(P((18, 18)), lam, 2) is None
 
 
 def test_row_route_thinness_guard_declines_a_hook():
-    # min(rows, columns) = 6, yet every one of the 19 Jacobi-Trudi products
-    # passes the small-factor cap: the thinness guard alone declines it
+    # min(rows, columns) = 6, with 19 Jacobi-Trudi products: the thinness
+    # guard declines it
     lam = P((7, 1, 1, 1, 1, 1))
     _, terms = rp._jacobi_trudi_terms(lam)
     assert min(len(lam), lam[0]) == 6 > rp._THIN_MAX and len(terms) == 19
     for m in (2, 3):
-        assert all(m * s <= rp._SMALL_FACTOR_CAP for _, sizes in terms for s in sizes[1:2])
         assert rp.row_coefficient(P((10, 4, 4, 2, 2, 2)), lam, m) is None
     # the dispatcher's fallback, character pairing, gives the value
     assert plethysm_coefficient((10, 4, 4, 2, 2, 2), lam, (2,)) == 6
 
 
-def test_row_route_declines_just_above_the_small_factor_cap():
-    # a second-largest Jacobi-Trudi size s with m * s = 18 is peeled
-    for nu, lam, m, expected in (((20, 12, 4), (2, 2), 9, 18), ((18, 12, 6), (3, 3), 6, 171)):
+def test_row_route_peels_small_factors_of_any_degree():
+    # a second-largest Jacobi-Trudi size s with m * s = 18, 20 and 21 is
+    # peeled by ribbon-strip removals, equal to character pairing
+    for nu, lam, m, expected in (
+        ((20, 12, 4), (2, 2), 9, 18),
+        ((18, 12, 6), (3, 3), 6, 171),
+        ((20, 20), (2, 2), 10, 4),
+        ((21, 14, 7), (3, 3), 7, 401),
+    ):
         assert rp.row_coefficient(P(nu), P(lam), m) == expected
         assert _coefficient_by_characters(P(nu), P(lam), P((m,))) == expected
-    # m * s = 20 and 21 decline before any row table is made
-    rp.reset_tables()
-    assert rp.row_coefficient(P((20, 20)), P((2, 2)), 10) is None
-    assert rp.row_coefficient(P((21, 14, 7)), P((3, 3)), 7) is None
-    assert rp._tables_for.cache_info().currsize == 0
+    # peels of degree 30 and 21 (character pairing agrees, in seconds)
+    assert rp.row_coefficient(P((30, 20, 10)), P((10, 10)), 3) == 3891
+    assert rp.row_coefficient(P((12, 10, 8, 6, 4, 2)), P((2,) * 7), 3) == 157622
 
 
 def test_envelope_growth_preserves_values():
@@ -443,6 +452,26 @@ def test_strip_additions_and_removals_are_mirror_images(shape, k):
         assert (shape, sign) in _strip_removals(bigger, k)
     for smaller, sign in _strip_removals(shape, k):
         assert (shape, sign) in rp._strip_additions(smaller, k)
+
+
+@given(
+    st.integers(0, 12).flatmap(lambda n: st.sampled_from(list(partitions_of(n)))),
+    st.integers(1, 4),
+    st.integers(1, 4),
+)
+@settings(max_examples=200, deadline=None)
+def test_ribbon_strip_removals_are_the_adjoint_of_additions(shape, r, m):
+    # (smaller, s) is removed from shape exactly when (shape, s) is added to
+    # smaller, over every smaller of the right size
+    want = set()
+    if shape.size >= r * m:
+        for smaller in partitions_of(shape.size - r * m):
+            added = rp._strip_additions(smaller, r, m)
+            want.update((smaller, s) for bigger, s in added if bigger == shape)
+    got = _remove_ribbon_strips(shape, r, m)
+    assert len(got) == len(set(got)) and set(got) == want
+    if m == 1:
+        assert set(got) == set(_strip_removals(shape, r))
 
 
 # ---------------------------------------------------------------------------
