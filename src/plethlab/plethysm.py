@@ -11,12 +11,12 @@ leading one is peeled off with its Kostka numbers, repeatedly. It shares no
 code with the power-sum route and exists as a correctness witness; the test
 suite compares the two everywhere both are feasible.
 
-Single coefficients are answered by the cheapest sound route: small products
-use the cached full expansion; large coefficients against a one-row inner
-shape go through Jacobi-Trudi factorization (see :mod:`row_plethysm`);
-everything else falls back to pairing the power-sum expansion against a
-single Murnaghan-Nakayama character, which never materializes the full
-expansion.
+Single coefficients are answered by one route per case: small products use
+the cached full expansion; large coefficients against a one-row inner shape,
+whatever the outer shape, go through Jacobi-Trudi factorization (see
+:mod:`row_plethysm`); large coefficients against an inner shape with two or
+more parts pair the power-sum expansion against a single Murnaghan-Nakayama
+character, which never materializes the full expansion.
 """
 
 from __future__ import annotations
@@ -281,9 +281,7 @@ def _coefficient(nu: Partition, lam: Partition, mu: Partition) -> int:
     if degree <= _FULL_CUTOFF:
         return _plethysm_items(lam, mu).get(nu, 0)
     if len(mu) == 1:
-        value = row_coefficient(nu, lam, mu[0])
-        if value is not None:
-            return value
+        return row_coefficient(nu, lam, mu[0])
     return _coefficient_by_characters(nu, lam, mu)
 
 

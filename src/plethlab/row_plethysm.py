@@ -37,8 +37,8 @@ the end) and looks up the single remaining big factor:
 The peel reads the same identity for adjoints, b·P_b = Σ_r ±(h_m[p_r])^⊥
 P_(b-r) with P_0 the target's expansion so far: each skew by h_m[p_r] is a
 signed sum over removals of horizontal strips of m ribbons, again divided by
-b exactly. The route declines (returns None) only when the outer shape is
-not thin enough; callers then fall back to a slower general method.
+b exactly. The route answers every outer shape: there is no other route
+for a one-row inner shape above the full-expansion cutoff.
 """
 
 from __future__ import annotations
@@ -58,9 +58,6 @@ from .powersum import (
 )
 
 __all__ = ["row_coefficient", "warm_tables", "reset_tables"]
-
-# Maximum number of Jacobi-Trudi rows: up to 120 permutations, fewer products.
-_THIN_MAX = 5
 
 
 def _all_even_rows(p: Partition) -> bool:
@@ -233,14 +230,12 @@ def _term_coefficient(kind: str, sizes: tuple[int, ...], nu: Partition, m: int) 
     return sum(c * table.get(rho, 0) for rho, c in level.items())
 
 
-def row_coefficient(nu: Partition, lam: Partition, m: int) -> int | None:
+def row_coefficient(nu: Partition, lam: Partition, m: int) -> int:
     """Coefficient of nu in the composition of lam with a one-row shape.
 
-    Returns None when this route does not apply; the caller falls back.
+    Any outer shape: its determinant is taken over its shorter side.
     Assumes the caller already checked degrees, the row-count bound and m > 1.
     """
-    if min(len(lam), lam[0]) > _THIN_MAX:
-        return None
     horizontal, terms = _jacobi_trudi_terms(lam)
     warm_tables((nu,), m)
     kind = "h" if horizontal else "e"

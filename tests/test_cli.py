@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import plethlab
-from plethlab import cli
+from plethlab import cli, plethysm
 
 # subprocesses import the package from the same src as this process
 _SRC = str(Path(cli.__file__).resolve().parents[1])
@@ -251,9 +251,13 @@ def test_m5_scan_output_is_pinned(capsys):
     )
 
 
-def test_thick_scan_output_is_pinned(capsys):
-    # tau sizes of 6 reach outer shapes too thick for the row route, so this
-    # scan mixes row-route answers with declines to the character route
+def test_thick_scan_output_is_pinned(capsys, monkeypatch):
+    # tau sizes of 6 reach outer hooks with min(rows, columns) = 6; the row
+    # route answers them all, so character pairing is never reached
+    def fallback(*args):
+        raise AssertionError(f"character pairing reached for {args}")
+
+    monkeypatch.setattr(plethysm, "_coefficient_by_characters", fallback)
     args = ["scan", "--tau-sizes", "6", "--m", "2", "--l", "1", "--jmax", "6", "--window", "3"]
     assert cli.main(args) == 0
     out = capsys.readouterr().out

@@ -346,9 +346,9 @@ def test_row_bound_exhaustive():
 @pytest.mark.parametrize(
     "nu,lam,mu",
     [
-        ((36, 36), (6,) * 6, (2,)),  # row route: not thin
-        ((10, 4, 4, 2, 2, 2), (7, 1, 1, 1, 1, 1), (2,)),  # row route: not thin
         ((9, 9), (3, 3), (2, 1)),  # two-row inner shape above the full cutoff
+        ((4, 4, 4, 4), (4, 4), (1, 1)),  # one-column inner shape above it
+        ((8, 4, 4), (4,), (2, 1, 1)),  # hook inner shape above it
     ],
 )
 def test_dispatcher_falls_back_to_character_pairing(monkeypatch, nu, lam, mu):
@@ -362,6 +362,16 @@ def test_dispatcher_falls_back_to_character_pairing(monkeypatch, nu, lam, mu):
     monkeypatch.setattr(pl, "_coefficient_by_characters", fallback)
     assert plethysm_coefficient(nu, lam, mu) is sentinel
     assert calls == [(P(nu), P(lam), P(mu))]
+
+
+def test_one_row_inner_shapes_never_reach_character_pairing(monkeypatch):
+    # outer shapes with min(rows, columns) = 6 take the row route too
+    def fallback(*args):
+        raise AssertionError(f"character pairing reached for {args}")
+
+    monkeypatch.setattr(pl, "_coefficient_by_characters", fallback)
+    assert plethysm_coefficient((36, 36), (6,) * 6, (2,)) == 0
+    assert plethysm_coefficient((10, 4, 4, 2, 2, 2), (7, 1, 1, 1, 1, 1), (2,)) == 6
 
 
 def test_coefficient_matches_expansion_on_every_small_triple():

@@ -144,22 +144,22 @@ def test_row_route_on_shapes_whose_products_merge(lam, m):
         assert rp.row_coefficient(nu, lam, m) == full.get(nu, 0)
 
 
-def test_row_route_declines_fat_shapes():
-    # declined by the thinness guard: min(rows, columns) = 6 is above _THIN_MAX
-    lam = P((6, 6, 6, 6, 6, 6))
-    assert rp.row_coefficient(P((18, 18)), lam, 2) is None
+def test_row_route_answers_fat_shapes():
+    # min(rows, columns) = 6, over the rows (h kind) and over the columns
+    # (e kind); both values equal character pairing
+    for nu, lam, expected in (
+        ((14, 5, 4, 4, 4, 2, 1, 1, 1), (7, 1, 1, 1, 1, 1), 811),
+        ((10, 8, 8, 4, 1, 1, 1, 1, 1, 1), (6, 1, 1, 1, 1, 1, 1), 379),
+    ):
+        assert rp.row_coefficient(P(nu), P(lam), 3) == expected
 
 
-def test_row_route_thinness_guard_declines_a_hook():
-    # min(rows, columns) = 6, with 19 Jacobi-Trudi products: the thinness
-    # guard declines it
+def test_row_route_answers_a_hook():
+    # min(rows, columns) = 6, with 19 Jacobi-Trudi products
     lam = P((7, 1, 1, 1, 1, 1))
     _, terms = rp._jacobi_trudi_terms(lam)
-    assert min(len(lam), lam[0]) == 6 > rp._THIN_MAX and len(terms) == 19
-    for m in (2, 3):
-        assert rp.row_coefficient(P((10, 4, 4, 2, 2, 2)), lam, m) is None
-    # the dispatcher's fallback, character pairing, gives the value
-    assert plethysm_coefficient((10, 4, 4, 2, 2, 2), lam, (2,)) == 6
+    assert min(len(lam), lam[0]) == 6 and len(terms) == 19
+    assert rp.row_coefficient(P((10, 4, 4, 2, 2, 2)), lam, 2) == 6
 
 
 def test_row_route_peels_small_factors_of_any_degree():
@@ -596,6 +596,21 @@ def test_row_route_matches_character_pairing_on_random_inputs(data):
 def test_m2_closed_forms_match_character_pairing_on_random_inputs(data):
     # degree 16..20, above the full-expansion cutoff
     lam = data.draw(st.sampled_from([lam for n in (8, 9, 10) for lam in partitions_of(n)]))
+    targets = [nu for nu in partitions_of(2 * lam.size) if len(nu) <= lam.size]
+    nu = data.draw(st.sampled_from(targets))
+    assert rp.row_coefficient(nu, lam, 2) == _coefficient_by_characters(nu, lam, P((2,)))
+
+
+@given(st.data())
+@settings(
+    max_examples=10,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_m2_row_route_matches_character_pairing_on_fat_shapes(data):
+    # the four outer shapes of size 11 or 12 with min(rows, columns) >= 6
+    fat = [lam for n in (11, 12) for lam in partitions_of(n) if min(len(lam), lam[0]) >= 6]
+    lam = data.draw(st.sampled_from(fat))
     targets = [nu for nu in partitions_of(2 * lam.size) if len(nu) <= lam.size]
     nu = data.draw(st.sampled_from(targets))
     assert rp.row_coefficient(nu, lam, 2) == _coefficient_by_characters(nu, lam, P((2,)))
